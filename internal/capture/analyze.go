@@ -3,6 +3,7 @@ package capture
 import (
 	"errors"
 	"io"
+	"slices"
 	"sort"
 	"time"
 
@@ -173,7 +174,9 @@ func Analyze(r io.Reader, ranges *ipranges.List) (*Analysis, error) {
 
 // AnalyzeOptions parameterizes AnalyzeOpts beyond the stream itself.
 type AnalyzeOptions struct {
-	// Par bounds the parallel pre-decode phase.
+	// Par bounds the parallel pre-decode phase. Its ShardSize counts
+	// blocks per shard (default one), and the analyzer holds one shard
+	// per worker in memory at a time.
 	Par parallel.Options
 	// Completeness, when non-nil, receives capture accounting: stage
 	// "capture/flows" counts one attempt per flow under its symptom
@@ -210,7 +213,10 @@ type predecode struct {
 	inRange        bool
 }
 
+// predecodeRecord overwrites d with data's pre-decode (slots are
+// reused from batch to batch).
 func predecodeRecord(d *predecode, ranges *ipranges.List, data []byte) {
+	*d = predecode{}
 	var p packet.Packet
 	derr := packet.DecodeHeaders(&p, data)
 	d.unknown = errors.Is(derr, packet.ErrUnknownTransport)
@@ -249,116 +255,84 @@ func AnalyzePar(r io.Reader, ranges *ipranges.List, opt parallel.Options) (*Anal
 }
 
 // AnalyzeOpts is the full-control analyzer entry point. The pcap
-// stream is read block-wise into pooled buffers (no per-record
-// allocation), header decode and range lookup shard freely over blocks,
-// and flow assembly — the only stateful step — stays sequential in
-// capture order, releasing each block back to the pool as soon as its
-// records are folded in. The result is byte-identical to the
-// sequential analyzer at every worker count and shard layout, and
-// completeness accounting (flows iterated in capture order) inherits
-// the same invariance.
+// stream is read one batch of pooled blocks at a time (no per-record
+// allocation): header decode and range lookup shard over the batch's
+// blocks — one shard per worker, opt.ShardSize blocks each (default
+// one) — and flow assembly, the only stateful step, then folds the
+// batch in capture order and releases its blocks before the next batch
+// is read. Pre-decode is a pure per-record function, so the result is
+// byte-identical to the sequential analyzer at every worker count and
+// shard layout, and completeness accounting (flows iterated in capture
+// order) inherits the same invariance. Memory holds one batch, not the
+// whole pcap.
 func AnalyzeOpts(r io.Reader, ranges *ipranges.List, aopt AnalyzeOptions) (*Analysis, error) {
 	opt := aopt.Par
 	rd, err := pcapio.NewReader(r)
 	if err != nil {
 		return nil, err
 	}
-	var blocks []*pcapio.Block
-	release := func() {
-		for _, b := range blocks {
-			if b != nil {
-				b.Release()
-			}
-		}
+	if opt.ShardSize <= 0 {
+		opt.ShardSize = 1
 	}
-	total := 0
-	for {
-		b := pcapio.GetBlock()
-		n, rerr := rd.ReadBlock(b, 0)
-		if n > 0 {
-			blocks = append(blocks, b)
-			total += n
-		} else {
+	batch := make([]*pcapio.Block, 0, opt.WorkerCount()*opt.ShardSize)
+	release := func() {
+		for _, b := range batch {
 			b.Release()
 		}
-		if rerr == io.EOF {
-			break
-		}
-		if rerr != nil {
-			release()
-			return nil, rerr
-		}
+		batch = batch[:0]
 	}
-
-	// offs[i] is the packet index of blocks[i]'s first record, so the
-	// parallel phase can write results straight into one flat slice.
-	offs := make([]int, len(blocks)+1)
-	for i, b := range blocks {
-		offs[i+1] = offs[i] + b.Len()
-	}
-	pre := make([]predecode, total)
-	if err := parallel.Run(opt, len(blocks), func(sh parallel.Shard) error {
-		for bi := sh.Lo; bi < sh.Hi; bi++ {
-			b, base := blocks[bi], offs[bi]
-			for ri := 0; ri < b.Len(); ri++ {
-				predecodeRecord(&pre[base+ri], ranges, b.Data(ri))
-			}
-		}
-		return nil
-	}); err != nil {
-		release()
-		return nil, err // only worker panics land here
-	}
+	// offs[i] is the batch index of batch[i]'s first record, so the
+	// parallel phase writes results straight into one flat slice that
+	// every batch reuses.
+	offs := make([]int, 0, cap(batch)+1)
+	var pre []predecode
 
 	a := &Analysis{}
 	table := map[flowKey]*FlowRecord{}
-	for bi, b := range blocks {
-		base := offs[bi]
-		for ri := 0; ri < b.Len(); ri++ {
-			d := &pre[base+ri]
-			if d.bad {
-				a.DecodeErrs++
-				continue
+	total := 0
+	for eof := false; !eof; {
+		for len(batch) < cap(batch) && !eof {
+			b := pcapio.GetBlock()
+			n, rerr := rd.ReadBlock(b, 0)
+			if n > 0 {
+				batch = append(batch, b)
+			} else {
+				b.Release()
 			}
-			if !d.inRange {
-				continue
-			}
-			t := b.Time(ri)
-			fr := table[d.key]
-			if fr == nil {
-				fr = &FlowRecord{
-					Client: d.key.client, Server: d.key.server, ServerPort: d.key.sport,
-					Proto: d.key.proto, Cloud: d.cloud,
-					First: t, Last: t,
-					ContentLength: -1,
-				}
-				fr.Kind = d.kind
-				table[d.key] = fr
-				a.Flows = append(a.Flows, fr)
-			}
-			if t.Before(fr.First) {
-				fr.First = t
-			}
-			if t.After(fr.Last) {
-				fr.Last = t
-			}
-			fr.Packets++
-			if d.unknown {
-				a.UnknownIP++
-				fr.udpBytes += int64(b.OrigLen(ri))
-				continue
-			}
-			switch d.key.proto {
-			case packet.ProtoTCP:
-				analyzeTCP(fr, d)
-			default:
-				fr.udpBytes += int64(b.OrigLen(ri))
+			if rerr == io.EOF {
+				eof = true
+			} else if rerr != nil {
+				release()
+				return nil, rerr
 			}
 		}
-		// This block's payload views have been parsed into owned
-		// strings; nothing downstream aliases its buffer.
-		b.Release()
-		blocks[bi] = nil
+		if len(batch) == 0 {
+			break
+		}
+		offs = append(offs[:0], 0)
+		for _, b := range batch {
+			offs = append(offs, offs[len(offs)-1]+b.Len())
+		}
+		pre = slices.Grow(pre[:0], offs[len(batch)])[:offs[len(batch)]]
+		if err := parallel.Run(opt, len(batch), func(sh parallel.Shard) error {
+			for bi := sh.Lo; bi < sh.Hi; bi++ {
+				b, base := batch[bi], offs[bi]
+				for ri := 0; ri < b.Len(); ri++ {
+					predecodeRecord(&pre[base+ri], ranges, b.Data(ri))
+				}
+			}
+			return nil
+		}); err != nil {
+			release()
+			return nil, err // only worker panics land here
+		}
+		for bi, b := range batch {
+			a.fold(table, b, pre[offs[bi]:offs[bi+1]])
+		}
+		total += offs[len(batch)]
+		// The batch's payload views have been parsed into owned
+		// strings; nothing downstream aliases its buffers.
+		release()
 	}
 	a.Records = total
 	for _, fr := range a.Flows {
@@ -389,6 +363,52 @@ func AnalyzeOpts(r io.Reader, ranges *ipranges.List, aopt AnalyzeOptions) (*Anal
 		Abandoned: int64(a.DecodeErrs),
 	})
 	return a, nil
+}
+
+// fold assembles one block's pre-decoded records into their flows, in
+// capture order.
+func (a *Analysis) fold(table map[flowKey]*FlowRecord, b *pcapio.Block, pre []predecode) {
+	for ri := range pre {
+		d := &pre[ri]
+		if d.bad {
+			a.DecodeErrs++
+			continue
+		}
+		if !d.inRange {
+			continue
+		}
+		t := b.Time(ri)
+		fr := table[d.key]
+		if fr == nil {
+			fr = &FlowRecord{
+				Client: d.key.client, Server: d.key.server, ServerPort: d.key.sport,
+				Proto: d.key.proto, Cloud: d.cloud,
+				First: t, Last: t,
+				ContentLength: -1,
+			}
+			fr.Kind = d.kind
+			table[d.key] = fr
+			a.Flows = append(a.Flows, fr)
+		}
+		if t.Before(fr.First) {
+			fr.First = t
+		}
+		if t.After(fr.Last) {
+			fr.Last = t
+		}
+		fr.Packets++
+		if d.unknown {
+			a.UnknownIP++
+			fr.udpBytes += int64(b.OrigLen(ri))
+			continue
+		}
+		switch d.key.proto {
+		case packet.ProtoTCP:
+			analyzeTCP(fr, d)
+		default:
+			fr.udpBytes += int64(b.OrigLen(ri))
+		}
+	}
 }
 
 func classify(proto uint8, serverPort uint16) Kind {

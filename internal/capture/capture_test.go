@@ -257,3 +257,38 @@ func TestDeterministicCapture(t *testing.T) {
 		t.Fatal("captures differ across identical seeds")
 	}
 }
+
+// TestTruthMatchesAnalysisPerKind: on a clean capture the analyzer
+// recovers exactly the ground truth's flows and bytes for every (cloud,
+// kind) pair — other-TCP included, whose flows carry a 200-byte client
+// request on top of the server's bytes.
+func TestTruthMatchesAnalysisPerKind(t *testing.T) {
+	truth, a := generate(t, testCfg(3000))
+	type cloudKind struct {
+		cloud ipranges.Provider
+		kind  Kind
+	}
+	flows := map[cloudKind]int{}
+	bytes := map[cloudKind]int64{}
+	for _, f := range a.Flows {
+		flows[cloudKind{f.Cloud, f.Kind}]++
+		bytes[cloudKind{f.Cloud, f.Kind}] += f.Bytes()
+	}
+	if a.DecodeErrs != 0 || len(a.Flows) != truth.TotalFlows {
+		t.Fatalf("analyzed %d flows (%d decode errors), truth %d", len(a.Flows), a.DecodeErrs, truth.TotalFlows)
+	}
+	for cloud, kinds := range truth.FlowsByKind {
+		for _, kind := range Kinds {
+			k := cloudKind{cloud, kind}
+			if flows[k] != kinds[kind] {
+				t.Errorf("%s %v: %d flows analyzed, truth %d", cloud, kind, flows[k], kinds[kind])
+			}
+			if want := truth.BytesByKind[cloud][kind]; bytes[k] != want {
+				t.Errorf("%s %v: %d bytes analyzed, truth %d", cloud, kind, bytes[k], want)
+			}
+		}
+	}
+	if truth.FlowsByKind[ipranges.EC2][KindOtherTCP] == 0 {
+		t.Fatal("capture has no other-TCP flows to check")
+	}
+}

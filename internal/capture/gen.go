@@ -1,9 +1,10 @@
 package capture
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -30,10 +31,9 @@ type host struct {
 
 // Generator synthesizes a border capture for a world.
 type Generator struct {
-	cfg    Config
-	world  *deploy.World
-	rng    *xrand.Rand
-	ranges *ipranges.List
+	cfg   Config
+	world *deploy.World
+	rng   *xrand.Rand
 
 	anchorHosts map[string][]host // anchor domain → hosts
 	background  map[ipranges.Provider][]host
@@ -43,6 +43,8 @@ type Generator struct {
 
 	// synthetic server-IP allocation cursors per cloud
 	ipCursor map[ipranges.Provider]uint64
+	// each cloud's published address space, flattened once
+	space map[ipranges.Provider]addrSpace
 
 	truth Truth
 }
@@ -55,11 +57,14 @@ func NewGenerator(cfg Config, world *deploy.World) *Generator {
 		cfg:         cfg,
 		world:       world,
 		rng:         xrand.SplitSeeded(cfg.Seed, "capture"),
-		ranges:      world.Ranges,
 		anchorHosts: map[string][]host{},
 		background:  map[ipranges.Provider][]host{},
 		bgZipf:      map[ipranges.Provider]*xrand.Zipf{},
 		ipCursor:    map[ipranges.Provider]uint64{ipranges.EC2: 977, ipranges.Azure: 1409},
+		space:       map[ipranges.Provider]addrSpace{},
+	}
+	for _, p := range []ipranges.Provider{ipranges.EC2, ipranges.Azure} {
+		g.space[p] = newAddrSpace(world.Ranges, p)
 	}
 	g.truth = *newTruth()
 	g.buildCatalog()
@@ -215,10 +220,39 @@ func (fg *flowgen) put(t time.Time, orig, n int) []byte {
 	fg.events = append(fg.events, event{
 		nano: t.UnixNano(),
 		ord:  uint64(fg.flowIdx)<<16 | uint64(seq),
-		blk:  fg.blk,
-		rec:  rec,
+		rec:  rec, // blk is set when the shard's events are collected
 	})
 	return data
+}
+
+// addrSpace is one provider's published ranges in region order, with
+// their total size, so an offset maps to an address in one walk.
+type addrSpace struct {
+	cidrs []netaddr.CIDR
+	total uint64
+}
+
+func newAddrSpace(ranges *ipranges.List, p ipranges.Provider) addrSpace {
+	var s addrSpace
+	for _, region := range ranges.Regions(p) {
+		s.cidrs = append(s.cidrs, ranges.RegionCIDRs(region)...)
+	}
+	for _, c := range s.cidrs {
+		s.total += c.Size()
+	}
+	return s
+}
+
+// nth returns the address off (mod the space's size) positions in.
+func (s addrSpace) nth(off uint64) netaddr.IP {
+	off %= s.total
+	for _, c := range s.cidrs {
+		if off < c.Size() {
+			return c.Nth(off)
+		}
+		off -= c.Size()
+	}
+	panic("unreachable")
 }
 
 // syntheticIP draws a stable address inside a provider's published
@@ -226,43 +260,13 @@ func (fg *flowgen) put(t time.Time, orig, n int) []byte {
 // sequential cursor allocator; flows cannot share a cursor without
 // contending across shards.)
 func (fg *flowgen) syntheticIP(p ipranges.Provider) netaddr.IP {
-	var cidrs []netaddr.CIDR
-	for _, region := range fg.g.ranges.Regions(p) {
-		cidrs = append(cidrs, fg.g.ranges.RegionCIDRs(region)...)
-	}
-	total := uint64(0)
-	for _, c := range cidrs {
-		total += c.Size()
-	}
-	off := uint64(fg.rng.Int63()) % total
-	for _, c := range cidrs {
-		if off < c.Size() {
-			return c.Nth(off)
-		}
-		off -= c.Size()
-	}
-	panic("unreachable")
+	return fg.g.space[p].nth(uint64(fg.rng.Int63()))
 }
 
 // syntheticIP allocates a stable address inside a provider's ranges.
 func (g *Generator) syntheticIP(p ipranges.Provider) netaddr.IP {
-	var cidrs []netaddr.CIDR
-	for _, region := range g.ranges.Regions(p) {
-		cidrs = append(cidrs, g.ranges.RegionCIDRs(region)...)
-	}
 	g.ipCursor[p] += 2654435761 % 10007
-	total := uint64(0)
-	for _, c := range cidrs {
-		total += c.Size()
-	}
-	off := g.ipCursor[p] % total
-	for _, c := range cidrs {
-		if off < c.Size() {
-			return c.Nth(off)
-		}
-		off -= c.Size()
-	}
-	panic("unreachable")
+	return g.space[p].nth(g.ipCursor[p])
 }
 
 // buildCatalog assembles anchor and background host lists.
@@ -334,12 +338,21 @@ func (g *Generator) buildCatalog() {
 // order tie-break (flow index and packet sequence — unique per packet,
 // so the emission order is a pure function of the flow population, not
 // of how shards happened to arrange the events before the sort), and
-// the block record holding the frame bytes.
+// the block record holding the frame bytes: an index into Generate's
+// block list, so events hold no pointers for the GC to scan.
 type event struct {
 	nano int64
 	ord  uint64
-	blk  *pcapio.Block
+	blk  int32
 	rec  int32
+}
+
+// compareEvents orders events by (timestamp, flow, packet).
+func compareEvents(a, b event) int {
+	if c := cmp.Compare(a.nano, b.nano); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.ord, b.ord)
 }
 
 // anchorShareTotal is the fraction of HTTP(S) bytes Table 5's anchor
@@ -411,7 +424,11 @@ func (g *Generator) Generate(w *pcapio.Writer) (*Truth, error) {
 			if fg == nil {
 				continue
 			}
-			events = append(events, fg.events...)
+			bi := int32(len(blocks))
+			for _, ev := range fg.events {
+				ev.blk = bi
+				events = append(events, ev)
+			}
 			g.truth.merge(fg.truth)
 			blocks = append(blocks, fg.blk)
 		}
@@ -513,14 +530,9 @@ func (g *Generator) Generate(w *pcapio.Writer) (*Truth, error) {
 	}
 	collect(fgs)
 
-	sort.Slice(events, func(i, j int) bool {
-		if events[i].nano != events[j].nano {
-			return events[i].nano < events[j].nano
-		}
-		return events[i].ord < events[j].ord
-	})
+	slices.SortFunc(events, compareEvents)
 	for _, ev := range events {
-		if err := w.WriteRecord(ev.blk.Record(int(ev.rec))); err != nil {
+		if err := w.WriteBlockRecord(blocks[ev.blk], int(ev.rec)); err != nil {
 			return nil, err
 		}
 	}
@@ -629,6 +641,10 @@ func (fg *flowgen) contentTypeForSize(size int64) string {
 	return xrand.Pick(fg.rng, names, weights)
 }
 
+// browserHeaders are every generated HTTP request's extra headers
+// (shared read-only across shards).
+var browserHeaders = map[string]string{"User-Agent": "Mozilla/5.0 (cloudscope)"}
+
 // tcpFlowTyped emits a full TCP exchange: handshake, application heads,
 // representative data packets, and FINs whose sequence numbers encode
 // the transferred volume.
@@ -640,7 +656,7 @@ func (fg *flowgen) tcpFlowTyped(idx int, kind Kind, h host, size int64, ctype st
 	}
 	var reqPayload, respPayload []byte
 	if kind == KindHTTP {
-		req := httpwire.Request{Host: h.name, Path: "/" + ctype[strings.IndexByte(ctype, '/')+1:], Headers: map[string]string{"User-Agent": "Mozilla/5.0 (cloudscope)"}}
+		req := httpwire.Request{Host: h.name, Path: "/" + ctype[strings.IndexByte(ctype, '/')+1:], Headers: browserHeaders}
 		reqPayload = req.SerializeRequest()
 		resp := httpwire.Response{StatusCode: 200, ContentType: ctype, ContentLength: size}
 		respPayload = resp.SerializeResponse()
@@ -663,7 +679,7 @@ func (fg *flowgen) otherTCPFlow(idx int, cloud ipranges.Provider, h host, size i
 	ports := []uint16{25, 22, 21, 6667, 8080}
 	serverPort := ports[fg.rng.Intn(len(ports))]
 	banner := []byte("220 service ready\r\n")
-	fg.account(cloud, KindOtherTCP, "", size)
+	fg.account(cloud, KindOtherTCP, "", 200+size) // client request + server bytes
 	fg.emitTCP(idx, clientIP, clientPort, h.ip, serverPort, []byte("EHLO campus\r\n"), banner, 200, size)
 }
 

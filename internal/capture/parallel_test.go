@@ -3,7 +3,9 @@ package capture
 import (
 	"bytes"
 	"crypto/sha256"
+	"errors"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"cloudscope/internal/parallel"
@@ -73,6 +75,40 @@ func TestAnalyzeWorkerCountInvariant(t *testing.T) {
 			}
 			if !reflect.DeepEqual(got, golden) {
 				t.Errorf("analysis differs at Workers=%d ShardSize=%d", workers, shard)
+			}
+		}
+	}
+}
+
+// TestAnalyzeBatchWorkerCountInvariant checks the batched analyzer —
+// one block per worker read, pre-decoded and folded at a time — gives
+// the same analysis at every worker count on a multi-batch pcap, clean
+// and faulted, and that a pcap cut off mid-stream still fails with
+// ErrTruncated and no analysis after earlier batches were folded.
+func TestAnalyzeBatchWorkerCountInvariant(t *testing.T) {
+	clean, _ := genBytes(t, testCfg(2500))
+	hostile, _ := genBytes(t, chaosCfg(t, 2500, "hostile-capture", 5))
+	for name, raw := range map[string][]byte{"clean": clean, "hostile-capture": hostile} {
+		golden, err := AnalyzePar(bytes.NewReader(raw), capWorld.Ranges, parallel.Options{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if golden.Records <= 4*pcapio.DefaultBlockRecords {
+			t.Fatalf("%s: %d records fit in too few blocks to batch", name, golden.Records)
+		}
+		for _, workers := range []int{1, 2, 4, runtime.GOMAXPROCS(0)} {
+			opt := parallel.Options{Workers: workers}
+			got, err := AnalyzePar(bytes.NewReader(raw), capWorld.Ranges, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, golden) {
+				t.Errorf("%s: analysis differs at Workers=%d", name, workers)
+			}
+			cut := raw[:len(raw)*3/4]
+			an, err := AnalyzePar(bytes.NewReader(cut), capWorld.Ranges, opt)
+			if !errors.Is(err, pcapio.ErrTruncated) || an != nil {
+				t.Errorf("%s: truncated pcap at Workers=%d gave (%v, %v), want (nil, ErrTruncated)", name, workers, an, err)
 			}
 		}
 	}

@@ -7,8 +7,7 @@
 package httpwire
 
 import (
-	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -29,9 +28,12 @@ type Response struct {
 	Headers       map[string]string
 }
 
+// headCap is the initial buffer size of a serialized head; most of
+// the capture's heads fit in it.
+const headCap = 128
+
 // SerializeRequest renders the request head (no body).
 func (r *Request) SerializeRequest() []byte {
-	var sb strings.Builder
 	method := r.Method
 	if method == "" {
 		method = "GET"
@@ -40,41 +42,58 @@ func (r *Request) SerializeRequest() []byte {
 	if path == "" {
 		path = "/"
 	}
-	fmt.Fprintf(&sb, "%s %s HTTP/1.1\r\n", method, path)
-	fmt.Fprintf(&sb, "Host: %s\r\n", r.Host)
-	writeSorted(&sb, r.Headers)
-	sb.WriteString("\r\n")
-	return []byte(sb.String())
+	b := make([]byte, 0, headCap)
+	b = append(b, method...)
+	b = append(b, ' ')
+	b = append(b, path...)
+	b = append(b, " HTTP/1.1\r\nHost: "...)
+	b = append(b, r.Host...)
+	b = append(b, "\r\n"...)
+	b = appendSorted(b, r.Headers)
+	return append(b, "\r\n"...)
 }
 
 // SerializeResponse renders the response head (no body).
 func (r *Response) SerializeResponse() []byte {
-	var sb strings.Builder
 	code := r.StatusCode
 	if code == 0 {
 		code = 200
 	}
-	fmt.Fprintf(&sb, "HTTP/1.1 %d %s\r\n", code, statusText(code))
+	b := make([]byte, 0, headCap)
+	b = append(b, "HTTP/1.1 "...)
+	b = strconv.AppendInt(b, int64(code), 10)
+	b = append(b, ' ')
+	b = append(b, statusText(code)...)
+	b = append(b, "\r\n"...)
 	if r.ContentType != "" {
-		fmt.Fprintf(&sb, "Content-Type: %s\r\n", r.ContentType)
+		b = append(b, "Content-Type: "...)
+		b = append(b, r.ContentType...)
+		b = append(b, "\r\n"...)
 	}
 	if r.ContentLength >= 0 {
-		fmt.Fprintf(&sb, "Content-Length: %d\r\n", r.ContentLength)
+		b = append(b, "Content-Length: "...)
+		b = strconv.AppendInt(b, r.ContentLength, 10)
+		b = append(b, "\r\n"...)
 	}
-	writeSorted(&sb, r.Headers)
-	sb.WriteString("\r\n")
-	return []byte(sb.String())
+	b = appendSorted(b, r.Headers)
+	return append(b, "\r\n"...)
 }
 
-func writeSorted(sb *strings.Builder, headers map[string]string) {
-	keys := make([]string, 0, len(headers))
+// appendSorted appends headers as "k: v" lines in key order.
+func appendSorted(b []byte, headers map[string]string) []byte {
+	var small [8]string // typical heads sort without a heap slice
+	keys := small[:0]
 	for k := range headers {
 		keys = append(keys, k)
 	}
-	sort.Strings(keys)
+	slices.Sort(keys)
 	for _, k := range keys {
-		fmt.Fprintf(sb, "%s: %s\r\n", k, headers[k])
+		b = append(b, k...)
+		b = append(b, ": "...)
+		b = append(b, headers[k]...)
+		b = append(b, "\r\n"...)
 	}
+	return b
 }
 
 func statusText(code int) string {

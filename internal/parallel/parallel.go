@@ -48,8 +48,8 @@ type Options struct {
 	Ctx context.Context
 }
 
-// workers resolves the effective worker count.
-func (o Options) workers() int {
+// WorkerCount resolves the effective worker count.
+func (o Options) WorkerCount() int {
 	if o.Workers > 0 {
 		return o.Workers
 	}
@@ -148,7 +148,7 @@ func Run(opt Options, n int, fn func(Shard) error) error {
 // for streaming stages that process a window of a larger logical input.
 func RunAt(opt Options, base, n int, fn func(Shard) error) error {
 	shards := ShardsAt(base, n, opt.ShardSize)
-	workers := opt.workers()
+	workers := opt.WorkerCount()
 	if workers > len(shards) {
 		workers = len(shards)
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"time"
 )
@@ -44,21 +45,36 @@ var blockPool = sync.Pool{New: func() any { return new(Block) }}
 var PoisonReleasedBlocks = false
 
 // GetBlock returns an empty block from the pool, retaining whatever
-// buffer capacity its previous life grew.
+// buffer capacity its previous life kept (see Release).
 func GetBlock() *Block {
 	b := blockPool.Get().(*Block)
 	b.Reset()
 	return b
 }
 
+// keepSlack is how far past twice its last use a released block's
+// buffer may stay allocated.
+const keepSlack = 64 << 10
+
 // Release resets the block and returns it to the pool. The caller must
 // not touch the block — or any Data view into it — afterwards.
+//
+// A buffer much larger than this use needed (more than 2×len + 64 KiB)
+// is dropped rather than pooled, as fmt does for its printer pool:
+// otherwise one large batch would ratchet every block in the shared
+// pool up to its size, and small batches would pin that capacity.
 func (b *Block) Release() {
 	if PoisonReleasedBlocks {
 		full := b.buf[:cap(b.buf)]
 		for i := range full {
 			full[i] = 0xDB
 		}
+	}
+	if cap(b.buf) > 2*len(b.buf)+keepSlack {
+		b.buf = nil
+	}
+	if cap(b.offs) > 2*len(b.offs)+keepSlack/8 {
+		b.offs = nil
 	}
 	b.Reset()
 	blockPool.Put(b)
@@ -75,8 +91,13 @@ func (b *Block) Len() int { return len(b.offs) }
 
 // Time returns record i's timestamp.
 func (b *Block) Time(i int) time.Time {
+	return time.Unix(0, b.nano(i)).UTC()
+}
+
+// nano returns record i's timestamp in unix nanoseconds.
+func (b *Block) nano(i int) int64 {
 	off := b.offs[i]
-	return time.Unix(0, int64(binary.LittleEndian.Uint64(b.buf[off:off+8]))).UTC()
+	return int64(binary.LittleEndian.Uint64(b.buf[off : off+8]))
 }
 
 // OrigLen returns record i's original (on-the-wire) length.
@@ -104,9 +125,14 @@ func (b *Block) Record(i int) Record {
 // caller to fill in place — the zero-copy write path frame builders
 // serialize directly into.
 func (b *Block) AppendRecord(t time.Time, origLen, n int) []byte {
+	return b.appendRecord(t.UnixNano(), origLen, n)
+}
+
+func (b *Block) appendRecord(nano int64, origLen, n int) []byte {
 	off := len(b.buf)
-	b.buf = append(b.buf, make([]byte, blockPrefixLen+n)...)
-	binary.LittleEndian.PutUint64(b.buf[off:off+8], uint64(t.UnixNano()))
+	b.buf = slices.Grow(b.buf, blockPrefixLen+n)[:off+blockPrefixLen+n]
+	clear(b.buf[off:])
+	binary.LittleEndian.PutUint64(b.buf[off:off+8], uint64(nano))
 	binary.LittleEndian.PutUint32(b.buf[off+8:off+12], uint32(n))
 	binary.LittleEndian.PutUint32(b.buf[off+12:off+16], uint32(origLen))
 	b.offs = append(b.offs, off)
@@ -144,25 +170,13 @@ func (r *Reader) ReadBlock(b *Block, maxRecords int) (int, error) {
 	if maxRecords <= 0 {
 		maxRecords = DefaultBlockRecords
 	}
-	order := r.order()
 	n := 0
 	for n < maxRecords {
-		var h [16]byte
-		if _, err := io.ReadFull(r.r, h[:]); err != nil {
-			if err == io.EOF {
-				return n, io.EOF
-			}
-			return n, readErr("record header", err)
+		nano, incl, orig, err := r.readHeader()
+		if err != nil {
+			return n, err
 		}
-		sec := order.Uint32(h[0:4])
-		usec := order.Uint32(h[4:8])
-		incl := order.Uint32(h[8:12])
-		orig := order.Uint32(h[12:16])
-		if int(incl) > r.snaplen+65535 {
-			return n, fmt.Errorf("pcapio: implausible captured length %d", incl)
-		}
-		dst := b.AppendRecord(time.Unix(int64(sec), int64(usec)*1000).UTC(), int(orig), int(incl))
-		if _, err := io.ReadFull(r.r, dst); err != nil {
+		if _, err := io.ReadFull(r.r, b.appendRecord(nano, orig, incl)); err != nil {
 			return n, readErr("record body", err)
 		}
 		n++

@@ -40,6 +40,7 @@ type Writer struct {
 	w       *bufio.Writer
 	snaplen int
 	started bool
+	hdr     [16]byte // record-header scratch; a local would escape through w.w
 }
 
 // NewWriter returns a Writer with the given snap length (0 means 65535).
@@ -68,26 +69,42 @@ func (w *Writer) writeHeader() error {
 // WriteRecord appends one packet, truncating Data to the snap length.
 // OrigLen defaults to len(Data) when zero.
 func (w *Writer) WriteRecord(r Record) error {
+	return w.write(r.Time.Unix(), r.Time.Nanosecond(), r.OrigLen, r.Data)
+}
+
+// WriteBlockRecord appends record i of b straight from the block's
+// prefix, byte-identical to WriteRecord(b.Record(i)) without the
+// time.Time round trip.
+func (w *Writer) WriteBlockRecord(b *Block, i int) error {
+	nano := b.nano(i)
+	sec := nano / 1e9
+	if nano%1e9 < 0 {
+		sec-- // floor, as time.Time.Unix does before the epoch
+	}
+	return w.write(sec, int(nano-sec*1e9), b.OrigLen(i), b.Data(i))
+}
+
+// write emits one record header (sec, nsec within the second) and its
+// captured bytes.
+func (w *Writer) write(sec int64, nsec, orig int, data []byte) error {
 	if !w.started {
 		if err := w.writeHeader(); err != nil {
 			return err
 		}
 		w.started = true
 	}
-	data := r.Data
-	orig := r.OrigLen
 	if orig < len(data) {
 		orig = len(data) // default: wire length is the full frame
 	}
 	if len(data) > w.snaplen {
 		data = data[:w.snaplen]
 	}
-	var h [16]byte
-	binary.LittleEndian.PutUint32(h[0:4], uint32(r.Time.Unix()))
-	binary.LittleEndian.PutUint32(h[4:8], uint32(r.Time.Nanosecond()/1000))
+	h := w.hdr[:]
+	binary.LittleEndian.PutUint32(h[0:4], uint32(sec))
+	binary.LittleEndian.PutUint32(h[4:8], uint32(nsec/1000))
 	binary.LittleEndian.PutUint32(h[8:12], uint32(len(data)))
 	binary.LittleEndian.PutUint32(h[12:16], uint32(orig))
-	if _, err := w.w.Write(h[:]); err != nil {
+	if _, err := w.w.Write(h); err != nil {
 		return err
 	}
 	_, err := w.w.Write(data)
@@ -112,6 +129,7 @@ type Reader struct {
 	bigEnd   bool
 	snaplen  int
 	linkType uint32
+	hdr      [16]byte // record-header scratch; a local would escape through r.r
 }
 
 // Errors returned by NewReader/Next/ReadBlock.
@@ -180,28 +198,35 @@ func (r *Reader) LinkType() uint32 { return r.linkType }
 
 // Next returns the next record, or io.EOF at a clean end of stream.
 func (r *Reader) Next() (Record, error) {
-	var h [16]byte
-	if _, err := io.ReadFull(r.r, h[:]); err != nil {
-		if err == io.EOF {
-			return Record{}, io.EOF
-		}
-		return Record{}, readErr("record header", err)
-	}
-	order := r.order()
-	sec := order.Uint32(h[0:4])
-	usec := order.Uint32(h[4:8])
-	incl := order.Uint32(h[8:12])
-	orig := order.Uint32(h[12:16])
-	if int(incl) > r.snaplen+65535 {
-		return Record{}, fmt.Errorf("pcapio: implausible captured length %d", incl)
+	nano, incl, orig, err := r.readHeader()
+	if err != nil {
+		return Record{}, err
 	}
 	data := make([]byte, incl)
 	if _, err := io.ReadFull(r.r, data); err != nil {
 		return Record{}, readErr("record body", err)
 	}
-	return Record{
-		Time:    time.Unix(int64(sec), int64(usec)*1000).UTC(),
-		OrigLen: int(orig),
-		Data:    data,
-	}, nil
+	return Record{Time: time.Unix(0, nano).UTC(), OrigLen: orig, Data: data}, nil
+}
+
+// readHeader reads one record header: the timestamp in unix
+// nanoseconds, the captured and the original length. It returns io.EOF
+// only at a clean end of stream.
+func (r *Reader) readHeader() (nano int64, incl, orig int, err error) {
+	h := r.hdr[:]
+	if _, err := io.ReadFull(r.r, h); err != nil {
+		if err == io.EOF {
+			return 0, 0, 0, io.EOF
+		}
+		return 0, 0, 0, readErr("record header", err)
+	}
+	order := r.order()
+	sec := order.Uint32(h[0:4])
+	usec := order.Uint32(h[4:8])
+	incl = int(order.Uint32(h[8:12]))
+	orig = int(order.Uint32(h[12:16]))
+	if incl > r.snaplen+65535 {
+		return 0, 0, 0, fmt.Errorf("pcapio: implausible captured length %d", incl)
+	}
+	return int64(sec)*1e9 + int64(usec)*1000, incl, orig, nil
 }
