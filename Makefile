@@ -31,6 +31,7 @@ check:
 	$(GO) test -race -count=2 -run 'TestAnalyzeRetainsNoPooledBuffers' ./internal/capture
 	$(GO) test -race -count=2 -run 'TestCaptureChaosRace' ./internal/capture
 	$(GO) test -race -count=2 -run 'TestStreamingSmallChunkInvariance' .
+	$(GO) test -race -count=2 -run 'CancelMidBuild' . ./api
 	$(MAKE) serve-smoke
 	$(MAKE) bench-smoke
 

@@ -12,7 +12,6 @@ package api
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -514,9 +513,7 @@ func Domain(ctx context.Context, s *cloudscope.Study, name string) (*DomainV1, e
 				regionList = append(regionList, r)
 			}
 		}
-		cells, err := matrixCtx(ctx, func() []MatrixCellV1 {
-			return toCells(camp.Matrix(wan.MetricLatency, regionList, 15))
-		})
+		cells, err := camp.Matrix(wan.MetricLatency, regionList, 15)
 		if err != nil {
 			return nil, err
 		}
@@ -546,47 +543,23 @@ func WANPerf(ctx context.Context, s *cloudscope.Study) (*WANPerfV1, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &WANPerfV1{}
-	out.LatencyMatrix, err = matrixCtx(ctx, func() []MatrixCellV1 {
-		return toCells(camp.Matrix(wan.MetricLatency, USRegions, 15))
-	})
+	lat, err := camp.Matrix(wan.MetricLatency, USRegions, 15)
 	if err != nil {
 		return nil, err
 	}
-	out.ThroughputMatrix, err = matrixCtx(ctx, func() []MatrixCellV1 {
-		return toCells(camp.Matrix(wan.MetricThroughput, USRegions, 15))
-	})
+	thr, err := camp.Matrix(wan.MetricThroughput, USRegions, 15)
 	if err != nil {
 		return nil, err
 	}
-	best, err := matrixCtx(ctx, func() []OptimalKV1 {
-		var ks []OptimalKV1
-		for _, r := range camp.OptimalK(wan.MetricLatency, 3) {
-			ks = append(ks, OptimalKV1{K: r.K, Regions: r.Regions, Value: r.Value})
-		}
-		return ks
-	})
+	best, err := camp.OptimalK(wan.MetricLatency, 3)
 	if err != nil {
 		return nil, err
 	}
-	out.OptimalK = best
+	out := &WANPerfV1{LatencyMatrix: toCells(lat), ThroughputMatrix: toCells(thr)}
+	for _, r := range best {
+		out.OptimalK = append(out.OptimalK, OptimalKV1{K: r.K, Regions: r.Regions, Value: r.Value})
+	}
 	return out, nil
-}
-
-// matrixCtx runs a campaign computation whose cancellation surfaces as
-// a panic (the stages re-raise worker errors), converting it back to
-// an error return.
-func matrixCtx[T any](_ context.Context, fn func() T) (out T, err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			if e, ok := v.(error); ok && (errors.Is(e, context.Canceled) || errors.Is(e, context.DeadlineExceeded)) {
-				err = e
-				return
-			}
-			panic(v)
-		}
-	}()
-	return fn(), nil
 }
 
 func toCells(cells []wanperf.MatrixCell) []MatrixCellV1 {

@@ -102,7 +102,7 @@ func BenchmarkTable7(b *testing.B) {
 	ds := study(b).Dataset()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = patterns.DetectAll(ds)
+		_ = must(patterns.DetectAllPar(ds, parallel.Options{}))
 	}
 }
 
@@ -119,7 +119,7 @@ func BenchmarkTable9(b *testing.B) {
 	ds, det := s.Dataset(), s.Detection()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = regions.Analyze(ds, det)
+		_ = must(regions.AnalyzePar(ds, det, parallel.Options{}))
 	}
 }
 
@@ -139,7 +139,7 @@ func BenchmarkTable11(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		ec2 := cloud.NewEC2(int64(i))
-		_ = wanperf.IntraCloudRTTs(ec2, "ec2.us-east-1", wanperf.Options{Seed: int64(i), Par: parallel.Options{Workers: 1}})
+		_ = must(wanperf.IntraCloudRTTs(ec2, "ec2.us-east-1", wanperf.Options{Seed: int64(i), Par: parallel.Options{Workers: 1}}))
 	}
 }
 
@@ -186,7 +186,7 @@ func BenchmarkTable16(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = wanperf.ISPDiversity(m, zoneCounts, wanperf.Options{Seed: int64(i), Par: parallel.Options{Workers: 1}})
+		_ = must(wanperf.ISPDiversity(m, zoneCounts, wanperf.Options{Seed: int64(i), Par: parallel.Options{Workers: 1}}))
 	}
 }
 
@@ -213,7 +213,7 @@ func BenchmarkFigure5(b *testing.B) {
 	ds := s.Dataset()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = patterns.AnalyzeNS(ds, w.Fabric, w.Registry, 20)
+		_ = must(patterns.AnalyzeNSPar(ds, w.Fabric, w.Registry, 20, nil, parallel.Options{}))
 	}
 }
 
@@ -247,7 +247,7 @@ func BenchmarkFigure9(b *testing.B) {
 	c := study(b).Campaign()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = c.Matrix(wan.MetricThroughput, usRegions, 15)
+		_ = must(c.Matrix(wan.MetricThroughput, usRegions, 15))
 	}
 }
 
@@ -255,7 +255,7 @@ func BenchmarkFigure10(b *testing.B) {
 	c := study(b).Campaign()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = c.Matrix(wan.MetricLatency, usRegions, 15)
+		_ = must(c.Matrix(wan.MetricLatency, usRegions, 15))
 	}
 }
 
@@ -263,7 +263,7 @@ func BenchmarkFigure11(b *testing.B) {
 	c := study(b).Campaign()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = c.TimeSeries("Boulder", usRegions)
+		_ = must(c.TimeSeries("Boulder", usRegions))
 	}
 }
 
@@ -271,7 +271,7 @@ func BenchmarkFigure12(b *testing.B) {
 	c := study(b).Campaign()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = c.OptimalK(wan.MetricLatency, 4)
+		_ = must(c.OptimalK(wan.MetricLatency, 4))
 	}
 }
 
@@ -291,10 +291,10 @@ func BenchmarkPipelineDiscovery(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = dataset.Build(dataset.Config{
+		_ = must(dataset.Build(dataset.Config{
 			Fabric: w.Fabric, Registry: w.Registry, Ranges: w.Ranges,
 			Domains: names, Vantages: 10,
-		})
+		}))
 	}
 }
 
@@ -359,10 +359,10 @@ func BenchmarkPipelineWorkers(b *testing.B) {
 			campaign.Model.Par = opt
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				d := patterns.DetectAllPar(ds, opt)
-				_ = regions.AnalyzePar(ds, d, opt)
-				_ = cartography.IdentifyByLatency(ec2, acct, targets, latCfg, cartography.Options{Seed: int64(i), Par: opt})
-				_ = campaign.Matrix(wan.MetricLatency, usRegions, 0)
+				d := must(patterns.DetectAllPar(ds, opt))
+				_ = must(regions.AnalyzePar(ds, d, opt))
+				_ = must(cartography.IdentifyByLatency(ec2, acct, targets, latCfg, cartography.Options{Seed: int64(i), Par: opt}))
+				_ = must(campaign.Matrix(wan.MetricLatency, usRegions, 0))
 			}
 		})
 	}
@@ -383,7 +383,7 @@ func BenchmarkAblationZoneThreshold(b *testing.B) {
 			acct := ec2.NewAccount(fmt.Sprintf("ablation-%d", int(tMs*10)))
 			var unknownRate float64
 			for i := 0; i < b.N; i++ {
-				res := cartography.IdentifyByLatency(ec2, acct, targets, cfg, cartography.Options{Seed: int64(i), Par: parallel.Options{}})
+				res := must(cartography.IdentifyByLatency(ec2, acct, targets, cfg, cartography.Options{Seed: int64(i), Par: parallel.Options{}}))
 				var unknown, responding int
 				for _, rr := range res {
 					unknown += rr.Unknown
@@ -412,10 +412,10 @@ func BenchmarkAblationWordlist(b *testing.B) {
 			words := full[:len(full)*frac/100]
 			var found int
 			for i := 0; i < b.N; i++ {
-				ds := dataset.Build(dataset.Config{
+				ds := must(dataset.Build(dataset.Config{
 					Fabric: w.Fabric, Registry: w.Registry, Ranges: w.Ranges,
 					Domains: names, Wordlist: words, Vantages: 5,
-				})
+				}))
 				found = ds.Stats.CloudSubdomains
 			}
 			b.ReportMetric(float64(found), "cloud-subs")
@@ -435,10 +435,10 @@ func BenchmarkAblationVantages(b *testing.B) {
 		b.Run(fmt.Sprintf("vantages=%d", v), func(b *testing.B) {
 			var ips int
 			for i := 0; i < b.N; i++ {
-				ds := dataset.Build(dataset.Config{
+				ds := must(dataset.Build(dataset.Config{
 					Fabric: w.Fabric, Registry: w.Registry, Ranges: w.Ranges,
 					Domains: names, Vantages: v,
-				})
+				}))
 				ips = 0
 				for _, o := range ds.Subdomains {
 					ips += len(o.IPs)
@@ -478,12 +478,12 @@ func BenchmarkAblationGreedyK(b *testing.B) {
 	c := study(b).Campaign()
 	b.Run("exhaustive", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			_ = c.OptimalK(wan.MetricLatency, 5)
+			_ = must(c.OptimalK(wan.MetricLatency, 5))
 		}
 	})
 	b.Run("greedy", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			_ = c.GreedyK(wan.MetricLatency, 5)
+			_ = must(c.GreedyK(wan.MetricLatency, 5))
 		}
 	})
 }
@@ -502,8 +502,8 @@ func BenchmarkAblationCartographyDensity(b *testing.B) {
 					targets = append(targets, ec2.Launch("ec2.us-east-1", j%3, "m1.small", cloud.KindVM))
 				}
 				ref := ec2.NewAccount(fmt.Sprintf("dens-%d-%d", perZone, i))
-				samples := cartography.SampleAccounts(ec2, ref, 3, perZone, cartography.Options{Seed: int64(i), Par: parallel.Options{Workers: 1}})
-				pm := cartography.MergeAccounts(samples, "", cartography.Options{Par: parallel.Options{Workers: 1}})
+				samples := must(cartography.SampleAccounts(ec2, ref, 3, perZone, cartography.Options{Seed: int64(i), Par: parallel.Options{Workers: 1}}))
+				pm := must(cartography.MergeAccounts(samples, "", cartography.Options{Par: parallel.Options{Workers: 1}}))
 				hit := 0
 				for _, t := range targets {
 					if _, ok := pm.Identify(t.Region, t.InternalIP); ok {

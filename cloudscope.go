@@ -28,7 +28,6 @@ import (
 	"time"
 
 	"cloudscope/internal/capture"
-	"cloudscope/internal/cartography"
 	"cloudscope/internal/chaos"
 	"cloudscope/internal/chaos/trace"
 	"cloudscope/internal/cloud"
@@ -241,6 +240,14 @@ func (c *stageCell[T]) get(ctx context.Context, build func() (T, error)) (T, err
 	return v, nil
 }
 
+// reset empties the cell, so the next get rebuilds it.
+func (c *stageCell[T]) reset() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var zero T
+	c.val, c.done = zero, false
+}
+
 func ctxErr(ctx context.Context) error {
 	if ctx == nil {
 		return nil
@@ -248,25 +255,9 @@ func ctxErr(ctx context.Context) error {
 	return ctx.Err()
 }
 
-// recoverCancel runs fn, converting a context-cancellation panic — the
-// pipeline stages re-raise worker errors, and with a cancellable
-// parallel.Options.Ctx those errors are context errors — back into an
-// ordinary error return. Any other panic propagates.
-func recoverCancel[T any](fn func() T) (out T, err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			if e, ok := v.(error); ok && (errors.Is(e, context.Canceled) || errors.Is(e, context.DeadlineExceeded)) {
-				err = e
-				return
-			}
-			panic(v)
-		}
-	}()
-	return fn(), nil
-}
-
 // must unwraps a stage result whose build ran without a cancellable
-// context, where errors are impossible by construction.
+// context, where the only possible error is a worker's *PanicError:
+// re-raising it on the caller is the right response.
 func must[T any](v T, err error) T {
 	if err != nil {
 		panic(err)
@@ -282,9 +273,11 @@ type captureResult struct {
 
 // Study runs the paper's pipeline over one generated world. All stages
 // are computed lazily and memoized; a Study is safe for concurrent use.
-// Each accessor has a *Context variant that aborts stage compute (via
-// internal/parallel's between-shard cancellation) when ctx is
-// cancelled; an aborted stage is retried by the next caller.
+// World, Dataset, Detection, Breakdown, Regions, Zones, NameServers and
+// Campaign each have a *Context variant that returns ctx's error once
+// ctx is cancelled (stage compute stops between internal/parallel
+// shards); an aborted stage is retried by the next caller. The
+// no-argument forms panic only if a stage worker panics.
 type Study struct {
 	Cfg Config
 
@@ -401,9 +394,6 @@ func (s *Study) Par(stage string) parallel.Options {
 	}
 }
 
-// par is the internal shorthand for Par.
-func (s *Study) par(stage string) parallel.Options { return s.Par(stage) }
-
 // parCtx is Par bound to a request context: the stage's fan-out aborts
 // between shards once ctx is cancelled.
 func (s *Study) parCtx(ctx context.Context, stage string) parallel.Options {
@@ -425,24 +415,25 @@ func (s *Study) World() *deploy.World { return must(s.WorldContext(context.Backg
 // between shards when ctx is cancelled, and the next caller retries.
 func (s *Study) WorldContext(ctx context.Context) (*deploy.World, error) {
 	return s.world.get(ctx, func() (*deploy.World, error) {
-		return recoverCancel(func() *deploy.World {
-			defer s.tel.StartSpan("study/world").End()
-			wcfg := deploy.DefaultConfig().Scaled(s.Cfg.Domains)
-			wcfg.Seed = s.Cfg.Seed
-			wcfg.Par = s.parCtx(ctx, "world")
-			w := deploy.Generate(wcfg)
-			s.simClock.Store(w.Fabric.Clock())
-			if s.eng != nil {
-				w.Fabric.SetInterceptor(s.eng)
-			}
-			if s.tel != nil {
-				reg := s.tel.Registry()
-				w.Fabric.SetMetrics(simnet.NewFabricMetrics(reg))
-				w.EC2.SetMetrics(cloud.NewProbeMetrics(reg, "ec2"))
-				w.Azure.SetMetrics(cloud.NewProbeMetrics(reg, "azure"))
-			}
-			return w
-		})
+		defer s.tel.StartSpan("study/world").End()
+		wcfg := deploy.DefaultConfig().Scaled(s.Cfg.Domains)
+		wcfg.Seed = s.Cfg.Seed
+		wcfg.Par = s.parCtx(ctx, "world")
+		w, err := deploy.Generate(wcfg)
+		if err != nil {
+			return nil, err
+		}
+		s.simClock.Store(w.Fabric.Clock())
+		if s.eng != nil {
+			w.Fabric.SetInterceptor(s.eng)
+		}
+		if s.tel != nil {
+			reg := s.tel.Registry()
+			w.Fabric.SetMetrics(simnet.NewFabricMetrics(reg))
+			w.EC2.SetMetrics(cloud.NewProbeMetrics(reg, "ec2"))
+			w.Azure.SetMetrics(cloud.NewProbeMetrics(reg, "azure"))
+		}
+		return w, nil
 	})
 }
 
@@ -456,37 +447,43 @@ func (s *Study) DatasetContext(ctx context.Context) (*dataset.Dataset, error) {
 		if err != nil {
 			return nil, err
 		}
-		return recoverCancel(func() *dataset.Dataset {
-			sp := s.tel.StartSpan("study/dataset")
-			defer sp.End()
-			names := make([]string, 0, len(w.Domains))
-			for _, d := range w.Domains {
-				names = append(names, d.Name)
-			}
-			dcfg := dataset.Config{
-				Fabric:       w.Fabric,
-				Registry:     w.Registry,
-				Ranges:       w.Ranges,
-				Domains:      names,
-				Vantages:     s.Cfg.Vantages,
-				Metrics:      s.dnsMetrics,
-				Workers:      s.Cfg.Workers,
-				Ctx:          ctx,
-				ParMetrics:   parallel.NewMetrics(s.tel.Registry(), "dataset").WithSpans(s.tel.Tracer()),
-				Completeness: s.tel.Completeness(),
-			}
-			if s.eng != nil {
-				// Under chaos the pipeline hardens: retries with backoff,
-				// a generous per-domain budget so pathological domains
-				// cannot stall the crawl, and a per-vantage breaker.
-				dcfg.Chaos = s.eng
-				dcfg.Backoff = dnssrv.Backoff{MaxAttempts: 6, Base: 100 * time.Millisecond, Max: 2 * time.Second}
-				dcfg.MaxQueriesPerDomain = 4096
-				dcfg.DomainDeadline = 10 * time.Minute
-				dcfg.BreakerFailures = 4
-			}
-			return dataset.Build(dcfg)
-		})
+		defer s.tel.StartSpan("study/dataset").End()
+		names := make([]string, 0, len(w.Domains))
+		for _, d := range w.Domains {
+			names = append(names, d.Name)
+		}
+		dcfg := dataset.Config{
+			Fabric:       w.Fabric,
+			Registry:     w.Registry,
+			Ranges:       w.Ranges,
+			Domains:      names,
+			Vantages:     s.Cfg.Vantages,
+			Metrics:      s.dnsMetrics,
+			Workers:      s.Cfg.Workers,
+			Ctx:          ctx,
+			ParMetrics:   parallel.NewMetrics(s.tel.Registry(), "dataset").WithSpans(s.tel.Tracer()),
+			Completeness: s.tel.Completeness(),
+		}
+		if s.eng != nil {
+			// Under chaos the pipeline hardens: retries with backoff,
+			// a generous per-domain budget so pathological domains
+			// cannot stall the crawl, and a per-vantage breaker.
+			dcfg.Chaos = s.eng
+			dcfg.Backoff = dnssrv.Backoff{MaxAttempts: 6, Base: 100 * time.Millisecond, Max: 2 * time.Second}
+			dcfg.MaxQueriesPerDomain = 4096
+			dcfg.DomainDeadline = 10 * time.Minute
+			dcfg.BreakerFailures = 4
+		}
+		ds, err := dataset.Build(dcfg)
+		if err != nil {
+			// The aborted crawl advanced the world's query state (the
+			// simulated clock, ELB round-robin rotations), so a retry on
+			// it would see different answers. Drop the world: the retry
+			// regenerates an identical, unqueried one.
+			s.world.reset()
+			return nil, err
+		}
+		return ds, nil
 	})
 }
 
@@ -500,10 +497,8 @@ func (s *Study) DetectionContext(ctx context.Context) (*patterns.Result, error) 
 		if err != nil {
 			return nil, err
 		}
-		return recoverCancel(func() *patterns.Result {
-			defer s.tel.StartSpan("study/detect").End()
-			return patterns.DetectAllPar(ds, s.parCtx(ctx, "detect"))
-		})
+		defer s.tel.StartSpan("study/detect").End()
+		return patterns.DetectAllPar(ds, s.parCtx(ctx, "detect"))
 	})
 }
 
@@ -536,10 +531,8 @@ func (s *Study) RegionsContext(ctx context.Context) (*regions.Analysis, error) {
 		if err != nil {
 			return nil, err
 		}
-		return recoverCancel(func() *regions.Analysis {
-			defer s.tel.StartSpan("study/regions").End()
-			return regions.AnalyzePar(ds, det, s.parCtx(ctx, "regions"))
-		})
+		defer s.tel.StartSpan("study/regions").End()
+		return regions.AnalyzePar(ds, det, s.parCtx(ctx, "regions"))
 	})
 }
 
@@ -561,15 +554,13 @@ func (s *Study) ZonesContext(ctx context.Context) (*zones.Study, error) {
 		if err != nil {
 			return nil, err
 		}
-		return recoverCancel(func() *zones.Study {
-			defer s.tel.StartSpan("study/zones").End()
-			cfg := zones.DefaultConfig()
-			cfg.Seed = s.Cfg.Seed
-			cfg.Par = s.parCtx(ctx, "zones")
-			cfg.Chaos = s.eng
-			cfg.Completeness = s.tel.Completeness()
-			return zones.Run(ds, det, w.EC2, cfg)
-		})
+		defer s.tel.StartSpan("study/zones").End()
+		cfg := zones.DefaultConfig()
+		cfg.Seed = s.Cfg.Seed
+		cfg.Par = s.parCtx(ctx, "zones")
+		cfg.Chaos = s.eng
+		cfg.Completeness = s.tel.Completeness()
+		return zones.Run(ds, det, w.EC2, cfg)
 	})
 }
 
@@ -589,71 +580,55 @@ func (s *Study) NameServersContext(ctx context.Context) (*patterns.NSAnalysis, e
 		if err != nil {
 			return nil, err
 		}
-		return recoverCancel(func() *patterns.NSAnalysis {
-			defer s.tel.StartSpan("study/nameservers").End()
-			return patterns.AnalyzeNSPar(ds, w.Fabric, w.Registry, 50, s.dnsMetrics, s.parCtx(ctx, "nameservers"))
-		})
+		defer s.tel.StartSpan("study/nameservers").End()
+		return patterns.AnalyzeNSPar(ds, w.Fabric, w.Registry, 50, s.dnsMetrics, s.parCtx(ctx, "nameservers"))
 	})
 }
 
 // Capture generates and analyzes the border trace (memoized). The pcap
 // bytes are ephemeral; use WriteCapture to keep them.
 func (s *Study) Capture() (*capture.Truth, *capture.Analysis) {
-	r, err := s.CaptureContext(context.Background())
-	if err != nil {
-		panic(err)
-	}
+	r := must(s.capt.get(context.Background(), s.buildCapture))
 	return r.truth, r.an
 }
 
-// CaptureContext is Capture under a cancellable context.
-func (s *Study) CaptureContext(ctx context.Context) (captureResult, error) {
-	return s.capt.get(ctx, func() (captureResult, error) {
-		w, err := s.WorldContext(ctx)
-		if err != nil {
-			return captureResult{}, err
-		}
-		return recoverCancel(func() captureResult {
-			defer s.tel.StartSpan("study/capture").End()
-			ccfg := capture.DefaultConfig()
-			ccfg.Seed = s.Cfg.Seed
-			ccfg.Flows = s.Cfg.CaptureFlows
-			ccfg.Par = s.parCtx(ctx, "capture")
-			ccfg.Chaos = s.eng
-			var buf bytes.Buffer
-			g := capture.NewGenerator(ccfg, w)
-			truth, err := g.Generate(pcapio.NewWriter(&buf, ccfg.Snaplen))
-			if err != nil {
-				panic(err) // bytes.Buffer writes cannot fail
-			}
-			an, err := capture.AnalyzeOpts(&buf, w.Ranges, capture.AnalyzeOptions{
-				Par:          s.parCtx(ctx, "capture_analyze"),
-				Completeness: s.tel.Completeness(),
-			})
-			if err != nil {
-				panic(err)
-			}
-			return captureResult{truth: truth, an: an}
-		})
+// buildCapture generates the border trace into memory and analyzes it.
+func (s *Study) buildCapture() (captureResult, error) {
+	w := s.World() // before the span, so the simulated clock is wired
+	defer s.tel.StartSpan("study/capture").End()
+	ccfg := s.captureConfig()
+	var buf bytes.Buffer
+	truth, err := capture.NewGenerator(ccfg, w).Generate(pcapio.NewWriter(&buf, ccfg.Snaplen))
+	if err != nil {
+		return captureResult{}, err
+	}
+	an, err := capture.AnalyzeOpts(&buf, w.Ranges, capture.AnalyzeOptions{
+		Par:          s.Par("capture_analyze"),
+		Completeness: s.tel.Completeness(),
 	})
+	if err != nil {
+		return captureResult{}, err
+	}
+	return captureResult{truth: truth, an: an}, nil
 }
 
-// Truth returns the capture result's ground truth.
-func (r captureResult) Truth() *capture.Truth { return r.truth }
+// captureConfig is the capture generator's config under the study's
+// seed, sizing, worker budget and fault engine.
+func (s *Study) captureConfig() capture.Config {
+	ccfg := capture.DefaultConfig()
+	ccfg.Seed = s.Cfg.Seed
+	ccfg.Flows = s.Cfg.CaptureFlows
+	ccfg.Par = s.Par("capture")
+	ccfg.Chaos = s.eng
+	return ccfg
+}
 
-// Analysis returns the capture result's analyzer output.
-func (r captureResult) Analysis() *capture.Analysis { return r.an }
-
-// WriteCapture streams a fresh pcap of the study's capture to w.
+// pcapWriter is the sink WriteCapture streams the pcap into.
 type pcapWriter interface{ Write(p []byte) (int, error) }
 
 // WriteCapture writes the synthetic border capture in pcap format.
 func (s *Study) WriteCapture(w pcapWriter) (*capture.Truth, error) {
-	ccfg := capture.DefaultConfig()
-	ccfg.Seed = s.Cfg.Seed
-	ccfg.Flows = s.Cfg.CaptureFlows
-	ccfg.Par = s.par("capture")
-	ccfg.Chaos = s.eng
+	ccfg := s.captureConfig()
 	g := capture.NewGenerator(ccfg, s.World())
 	return g.Generate(pcapio.NewWriter(w, ccfg.Snaplen))
 }
@@ -665,9 +640,11 @@ func (s *Study) Campaign() *wanperf.Campaign {
 
 // CampaignContext is Campaign under a cancellable context: the
 // returned value shares the memoized campaign's model and seeding but
-// carries its own fan-out options bound to ctx, so matrix and
-// time-series computation aborts between shards when the request is
-// cancelled. The memoized campaign itself stays context-free.
+// carries its own fan-out options bound to ctx, so its Matrix and
+// TimeSeries stop between shards and return ctx's error once the
+// request is cancelled. OptimalK, GreedyK and Outages run on the
+// shared *wan.Model, whose Par carries no context, so they always run
+// to completion. The memoized campaign itself stays context-free.
 func (s *Study) CampaignContext(ctx context.Context) (*wanperf.Campaign, error) {
 	c, err := s.campaignBase(ctx)
 	if err != nil {
@@ -682,8 +659,8 @@ func (s *Study) campaignBase(ctx context.Context) (*wanperf.Campaign, error) {
 	return s.campaign.get(ctx, func() (*wanperf.Campaign, error) {
 		defer s.tel.StartSpan("study/wanperf").End()
 		c := wanperf.NewCampaign(s.Cfg.Seed, s.Cfg.WANClients, ipranges.EC2Regions)
-		c.Par = s.par("wanperf")
-		c.Model.Par = s.par("wanperf")
+		c.Par = s.Par("wanperf")
+		c.Model.Par = s.Par("wanperf")
 		if s.tel != nil {
 			c.Model.SetMetrics(wan.NewMetrics(s.tel.Registry()))
 		}
@@ -717,6 +694,3 @@ func (s *Study) RankOf(domain string) int {
 	}
 	return 0
 }
-
-// ZoneIdentification re-exports the combined cartography result.
-func (s *Study) ZoneIdentification() *cartography.CombinedResult { return s.Zones().Combined }

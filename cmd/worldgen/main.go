@@ -167,7 +167,10 @@ func streamWorld(outDir string, seed int64, domains, workers, chunkSize int) err
 	fmt.Fprintln(sf, "fqdn,pattern,provider,regions")
 	total := 0
 	for {
-		chunk := ws.Next()
+		chunk, err := ws.Next()
+		if err != nil {
+			return err
+		}
 		if chunk == nil {
 			break
 		}

@@ -5,6 +5,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 
 	"cloudscope/internal/cartography"
 	"cloudscope/internal/cloud"
@@ -26,11 +27,20 @@ func main() {
 	// Technique 1: address proximity. Sample instances under several
 	// accounts, merge by /16 co-occurrence.
 	opt := cartography.Options{Seed: 1}
-	samples := cartography.SampleAccounts(ec2, ref, 4, 6, opt)
-	pm := cartography.MergeAccounts(samples, ref.Name, opt)
+	samples, err := cartography.SampleAccounts(ec2, ref, 4, 6, opt)
+	if err != nil {
+		log.Fatal(err)
+	}
+	pm, err := cartography.MergeAccounts(samples, ref.Name, opt)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	// Technique 2: latency. Probe instances in each zone ping targets.
-	lat := cartography.IdentifyByLatency(ec2, ref, targets, cartography.DefaultLatencyConfig(), opt)
+	lat, err := cartography.IdentifyByLatency(ec2, ref, targets, cartography.DefaultLatencyConfig(), opt)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	// Combined estimator.
 	comb := cartography.IdentifyCombined(targets, pm, lat)

@@ -5,6 +5,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 	"strings"
 
 	"cloudscope"
@@ -16,7 +17,10 @@ func main() {
 	c := study.Campaign()
 
 	fmt.Println("Optimal k-region deployments (latency):")
-	results := c.OptimalK(wan.MetricLatency, 4)
+	results, err := c.OptimalK(wan.MetricLatency, 4)
+	if err != nil {
+		log.Fatal(err)
+	}
 	base := results[0].Value
 	for _, r := range results {
 		fmt.Printf("  k=%d: %6.1f ms (-%4.1f%%)  %s\n",
@@ -25,7 +29,10 @@ func main() {
 
 	// The greedy planner gets within a few percent at a fraction of the
 	// search cost — useful when regions number in the dozens.
-	greedy := c.GreedyK(wan.MetricLatency, 4)
+	greedy, err := c.GreedyK(wan.MetricLatency, 4)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println("\nGreedy planner for comparison:")
 	for i, r := range greedy {
 		gap := 100 * (r.Value - results[i].Value) / results[i].Value
@@ -33,7 +40,10 @@ func main() {
 	}
 
 	// Availability: fail one downstream ISP per region per trial.
-	out := c.Outages(3, 60)
+	out, err := c.Outages(3, 60)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println("\nRoute-outage simulation (fraction of clients cut off):")
 	for k := 1; k <= 3; k++ {
 		fmt.Printf("  k=%d regions: %.4f\n", k, out.MeanUnreachable[k])

@@ -184,12 +184,12 @@ func runTable10(s *Study) string {
 }
 
 func runTable11(s *Study) string {
-	rows := wanperf.IntraCloudRTTs(s.World().EC2, "ec2.us-east-1", wanperf.Options{
+	rows := must(wanperf.IntraCloudRTTs(s.World().EC2, "ec2.us-east-1", wanperf.Options{
 		Seed:         s.Cfg.Seed,
-		Par:          s.par("rtt"),
+		Par:          s.Par("rtt"),
 		Chaos:        s.eng,
 		Completeness: s.tel.Completeness(),
-	})
+	}))
 	t := &stats.Table{
 		Title:  "Table 11: RTTs (least / median, ms) from a us-east-1a micro instance",
 		Header: []string{"Instance type", "Zone", "Min (ms)", "Median (ms)"},
@@ -268,13 +268,13 @@ func runTable16(s *Study) string {
 	// The paper's traceroute leg used 200 PlanetLab nodes (Figure 2) —
 	// more than the 80 used for latency/throughput probing.
 	m := wan.New(s.Cfg.Seed, 200, ipranges.EC2Regions)
-	m.Par = s.par("isp")
-	rows := wanperf.ISPDiversity(m, zoneCounts, wanperf.Options{
+	m.Par = s.Par("isp")
+	rows := must(wanperf.ISPDiversity(m, zoneCounts, wanperf.Options{
 		Seed:         s.Cfg.Seed,
-		Par:          s.par("isp"),
+		Par:          s.Par("isp"),
 		Chaos:        s.eng,
 		Completeness: s.tel.Completeness(),
-	})
+	}))
 	t := &stats.Table{
 		Title:  "Table 16: downstream ISPs per region and zone",
 		Header: []string{"Region", "AZ1", "AZ2", "AZ3", "top-ISP route share"},
@@ -376,7 +376,7 @@ func runFigure10(s *Study) string {
 var usRegions = []string{"ec2.us-east-1", "ec2.us-west-1", "ec2.us-west-2"}
 
 func renderMatrix(s *Study, metric wan.Metric, title string) string {
-	cells := s.Campaign().Matrix(metric, usRegions, 15)
+	cells := must(s.Campaign().Matrix(metric, usRegions, 15))
 	t := &stats.Table{Title: title, Header: append([]string{"Client"}, usRegions...)}
 	rowVals := map[string]map[string]float64{}
 	var order []string
@@ -398,7 +398,7 @@ func renderMatrix(s *Study, metric wan.Metric, title string) string {
 }
 
 func runFigure11(s *Study) string {
-	series := s.Campaign().TimeSeries("Boulder", usRegions)
+	series := must(s.Campaign().TimeSeries("Boulder", usRegions))
 	var b strings.Builder
 	b.WriteString("Figure 11: Boulder latency (ms) to US regions over time\n")
 	b.WriteString("hour   us-east-1  us-west-1  us-west-2  best\n")
@@ -427,8 +427,8 @@ func runFigure12(s *Study) string {
 	c := s.Campaign()
 	var b strings.Builder
 	b.WriteString("Figure 12: optimal k-region deployment (exhaustive subset search)\n")
-	lat := c.OptimalK(wan.MetricLatency, 5)
-	thr := c.OptimalK(wan.MetricThroughput, 5)
+	lat := must(c.OptimalK(wan.MetricLatency, 5))
+	thr := must(c.OptimalK(wan.MetricThroughput, 5))
 	b.WriteString("k   latency(ms)  vs k=1   best set (latency)\n")
 	for _, r := range lat {
 		fmt.Fprintf(&b, "%d   %10.1f  %5.1f%%   %s\n", r.K, r.Value,

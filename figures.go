@@ -55,7 +55,7 @@ func (s *Study) FigureSeries(id string) (map[string][]stats.Point, bool) {
 		if id == "figure9" {
 			metric = wan.MetricThroughput
 		}
-		cells := s.Campaign().Matrix(metric, usRegions, 15)
+		cells := must(s.Campaign().Matrix(metric, usRegions, 15))
 		out := map[string][]stats.Point{}
 		clientIdx := map[string]int{}
 		for _, c := range cells {
@@ -66,10 +66,10 @@ func (s *Study) FigureSeries(id string) (map[string][]stats.Point, bool) {
 		}
 		return out, true
 	case "figure11":
-		return s.Campaign().TimeSeries("Boulder", usRegions), true
+		return must(s.Campaign().TimeSeries("Boulder", usRegions)), true
 	case "figure12":
-		lat := s.Campaign().OptimalK(wan.MetricLatency, 5)
-		thr := s.Campaign().OptimalK(wan.MetricThroughput, 5)
+		lat := must(s.Campaign().OptimalK(wan.MetricLatency, 5))
+		thr := must(s.Campaign().OptimalK(wan.MetricThroughput, 5))
 		out := map[string][]stats.Point{}
 		for _, r := range lat {
 			out["latency"] = append(out["latency"], stats.Point{X: float64(r.K), Y: r.Value})

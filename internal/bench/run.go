@@ -265,7 +265,10 @@ func runStreamCell(cfg MatrixConfig, size int, c *cell) error {
 	ws := deploy.GenerateStream(dcfg, cfg.StreamChunk)
 	n := 0
 	for {
-		chunk := ws.Next()
+		chunk, err := ws.Next()
+		if err != nil {
+			return err
+		}
 		if chunk == nil {
 			break
 		}

@@ -14,7 +14,7 @@ import (
 
 // capWorld is a small shared world; the capture only needs host names
 // and front-end IPs.
-var capWorld = deploy.Generate(deploy.DefaultConfig().Scaled(2000))
+var capWorld = must(deploy.Generate(deploy.DefaultConfig().Scaled(2000)))
 
 func generate(t testing.TB, cfg Config) (*Truth, *Analysis) {
 	t.Helper()
@@ -291,4 +291,13 @@ func TestTruthMatchesAnalysisPerKind(t *testing.T) {
 	if truth.FlowsByKind[ipranges.EC2][KindOtherTCP] == 0 {
 		t.Fatal("capture has no other-TCP flows to check")
 	}
+}
+
+// must unwraps a fixture build; fixtures run without a cancellable
+// context, so an error can only be a worker panic.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
 }

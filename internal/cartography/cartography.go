@@ -39,7 +39,8 @@ type Options struct {
 	// Seed roots the experiment's deterministic probe streams.
 	Seed int64
 	// Par bounds and instruments the worker fan-out; results are
-	// bit-identical at every worker count.
+	// bit-identical at every worker count. An experiment returns an
+	// error only when a worker panics or Par.Ctx is cancelled.
 	Par parallel.Options
 	// Chaos, when set, injects faults into the experiment's probes and
 	// launches.
@@ -139,7 +140,7 @@ type zoneProbes struct {
 // shard layout depends only on the target count, so results are
 // bit-identical at every worker count and on every machine. opt.Chaos
 // and opt.Completeness fill cfg's equivalents when those are unset.
-func IdentifyByLatency(c *cloud.Cloud, acct *cloud.Account, targets []*cloud.Instance, cfg LatencyConfig, opt Options) map[string]*LatencyRegionResult {
+func IdentifyByLatency(c *cloud.Cloud, acct *cloud.Account, targets []*cloud.Instance, cfg LatencyConfig, opt Options) (map[string]*LatencyRegionResult, error) {
 	seed := opt.Seed
 	if cfg.Chaos == nil {
 		cfg.Chaos = opt.Chaos
@@ -217,7 +218,7 @@ func IdentifyByLatency(c *cloud.Cloud, acct *cloud.Account, targets []*cloud.Ins
 		return nil
 	})
 	if err != nil {
-		panic(err) // workers only surface panics; re-raise on the caller
+		return nil, err
 	}
 
 	// Aggregate in input order on the caller's goroutine.
@@ -257,7 +258,7 @@ func IdentifyByLatency(c *cloud.Cloud, acct *cloud.Account, targets []*cloud.Ins
 			cfg.Completeness.Merge("cartography/latency", region, *cc)
 		}
 	}
-	return results
+	return results, nil
 }
 
 // identifyOne applies the paper's decision rule to one target. extraMs
@@ -336,7 +337,7 @@ type Sample struct {
 // at that point of the campaign are skipped (the paper's accounts hit
 // API throttles and closures mid-campaign), and per-account accounting
 // lands in opt.Completeness under stage "cartography/sample".
-func SampleAccounts(c *cloud.Cloud, ref *cloud.Account, nExtra, perZone int, opt Options) []Sample {
+func SampleAccounts(c *cloud.Cloud, ref *cloud.Account, nExtra, perZone int, opt Options) ([]Sample, error) {
 	eng, comp := opt.Chaos, opt.Completeness
 	accounts := []*cloud.Account{ref}
 	for ai := 0; ai < nExtra; ai++ {
@@ -358,7 +359,7 @@ func SampleAccounts(c *cloud.Cloud, ref *cloud.Account, nExtra, perZone int, opt
 		return ls, nil
 	})
 	if err != nil {
-		panic(err) // workers only surface panics; re-raise on the caller
+		return nil, err
 	}
 	total := 0
 	for _, ls := range plans {
@@ -398,7 +399,7 @@ func SampleAccounts(c *cloud.Cloud, ref *cloud.Account, nExtra, perZone int, opt
 			}
 		}
 	}
-	return samples
+	return samples, nil
 }
 
 // refSample is one sample with its zone resolved into the reference
@@ -454,7 +455,7 @@ type regionMerge struct {
 // merge independently over the sorted region list, and retained samples
 // are sorted — so shuffling sample arrival order (or the worker count)
 // cannot change the map.
-func MergeAccounts(samples []Sample, ref string, opt Options) *ProximityMap {
+func MergeAccounts(samples []Sample, ref string, opt Options) (*ProximityMap, error) {
 	acc := NewMergeAccumulator()
 	acc.Add(samples...)
 	return acc.Finish(ref, opt)
@@ -525,9 +526,9 @@ func (a *MergeAccumulator) Add(samples ...Sample) {
 
 // Finish canonicalizes the accumulated evidence and builds the
 // ProximityMap. The accumulator must not be Added to afterwards.
-func (a *MergeAccumulator) Finish(ref string, opt Options) *ProximityMap {
+func (a *MergeAccumulator) Finish(ref string, opt Options) (*ProximityMap, error) {
 	if a.n == 0 {
-		return &ProximityMap{ZoneOf16: map[string]map[netaddr.IP]int{}, Permutations: map[string]map[string][]int{}}
+		return &ProximityMap{ZoneOf16: map[string]map[netaddr.IP]int{}, Permutations: map[string]map[string][]int{}}, nil
 	}
 	g := a.g
 	if ref == "" {
@@ -563,7 +564,7 @@ func (a *MergeAccumulator) Finish(ref string, opt Options) *ProximityMap {
 		}
 		return nil
 	}); err != nil {
-		panic(err) // workers only surface panics; re-raise on the caller
+		return nil, err
 	}
 
 	pm := &ProximityMap{
@@ -582,7 +583,7 @@ func (a *MergeAccumulator) Finish(ref string, opt Options) *ProximityMap {
 			pm.Permutations[acct][region] = perm
 		}
 	}
-	return pm
+	return pm, nil
 }
 
 // mergeRegion runs the label-permutation merge for one region. It only

@@ -62,7 +62,7 @@ func TestAccountOutageDuringSampling(t *testing.T) {
 	c := cloud.NewEC2(31)
 	ref := c.NewAccount("ref")
 	comp := telemetry.NewCompleteness()
-	samples := SampleAccounts(c, ref, 4, 3, Options{Seed: 5, Par: parallel.Options{Workers: 2}, Chaos: eng, Completeness: comp})
+	samples := must(SampleAccounts(c, ref, 4, 3, Options{Seed: 5, Par: parallel.Options{Workers: 2}, Chaos: eng, Completeness: comp}))
 
 	st, ok := comp.Stage("cartography/sample")
 	if !ok {
@@ -86,7 +86,7 @@ func TestAccountOutageDuringSampling(t *testing.T) {
 	}
 	// The partial sample set still yields a proximity map anchored on
 	// the reference account.
-	pm := MergeAccounts(samples, ref.Name, Options{})
+	pm := must(MergeAccounts(samples, ref.Name, Options{}))
 	if len(pm.ZoneOf16) == 0 {
 		t.Fatal("partial samples produced an empty proximity map")
 	}
@@ -105,14 +105,14 @@ func TestRegionalBrownoutLatencyProbes(t *testing.T) {
 	}
 
 	c0, a0, t0 := build()
-	baseline := IdentifyByLatency(c0, a0, t0, DefaultLatencyConfig(), Options{Seed: 1})
+	baseline := must(IdentifyByLatency(c0, a0, t0, DefaultLatencyConfig(), Options{Seed: 1}))
 
 	sc := mustScenario(t, "brownout,region=us-east,add=50ms;loss,p=0.4,region=us-east")
 	c1, a1, t1 := build()
 	cfg := DefaultLatencyConfig()
 	cfg.Chaos = chaos.New(sc, 17)
 	cfg.Completeness = telemetry.NewCompleteness()
-	faulted := IdentifyByLatency(c1, a1, t1, cfg, Options{Seed: 1, Par: parallel.Options{Workers: 3}})
+	faulted := must(IdentifyByLatency(c1, a1, t1, cfg, Options{Seed: 1, Par: parallel.Options{Workers: 3}}))
 
 	// The unfaulted region is untouched, byte for byte.
 	if renderLat(map[string]*LatencyRegionResult{"ec2.eu-west-1": faulted["ec2.eu-west-1"]}) !=
@@ -155,8 +155,8 @@ func TestCartographyChaosWorkerInvariant(t *testing.T) {
 		comp := telemetry.NewCompleteness()
 		cfg := DefaultLatencyConfig()
 		cfg.Chaos, cfg.Completeness = eng, comp
-		lat := IdentifyByLatency(c, acct, targets, cfg, Options{Seed: 1, Par: parallel.Options{Workers: workers}})
-		samples := SampleAccounts(c, acct, 3, 2, Options{Seed: 5, Par: parallel.Options{Workers: workers}, Chaos: eng, Completeness: comp})
+		lat := must(IdentifyByLatency(c, acct, targets, cfg, Options{Seed: 1, Par: parallel.Options{Workers: workers}}))
+		samples := must(SampleAccounts(c, acct, 3, 2, Options{Seed: 5, Par: parallel.Options{Workers: workers}, Chaos: eng, Completeness: comp}))
 		return renderLat(lat), renderSamples(samples), comp.Report()
 	}
 	lat1, smp1, rep1 := run(1)

@@ -2,7 +2,7 @@
 // command shares, so -workers, -chaos, -telemetry[-json], the
 // fault-trace flags, and the profiling flags (-cpuprofile,
 // -memprofile, -trace-out, -runtime-sample) have one name, one help
-// string, and one meaning across all seven binaries instead of seven
+// string, and one meaning across all five binaries instead of five
 // drifting copies.
 //
 // Usage from a main:

@@ -8,7 +8,7 @@ import (
 )
 
 var (
-	world = deploy.Generate(deploy.DefaultConfig().Scaled(2500))
+	world = must(deploy.Generate(deploy.DefaultConfig().Scaled(2500)))
 	an    = Analyze(world)
 )
 
@@ -92,4 +92,13 @@ func TestTableRenders(t *testing.T) {
 			t.Fatalf("table missing %q:\n%s", want, s)
 		}
 	}
+}
+
+// must unwraps a fixture build; fixtures run without a cancellable
+// context, so an error can only be a worker panic.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
 }

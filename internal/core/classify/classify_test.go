@@ -8,7 +8,7 @@ import (
 )
 
 var (
-	world = deploy.Generate(deploy.DefaultConfig().Scaled(1500))
+	world = must(deploy.Generate(deploy.DefaultConfig().Scaled(1500)))
 	ds    = buildDataset()
 	bd    = Classify(ds)
 )
@@ -18,13 +18,13 @@ func buildDataset() *dataset.Dataset {
 	for _, d := range world.Domains {
 		names = append(names, d.Name)
 	}
-	return dataset.Build(dataset.Config{
+	return must(dataset.Build(dataset.Config{
 		Fabric:   world.Fabric,
 		Registry: world.Registry,
 		Ranges:   world.Ranges,
 		Domains:  names,
 		Vantages: 30,
-	})
+	}))
 }
 
 type ranker struct{}
@@ -165,4 +165,13 @@ func containsStr(s, sub string) bool {
 		}
 	}
 	return false
+}
+
+// must unwraps a fixture build; fixtures run without a cancellable
+// context, so an error can only be a worker panic.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
 }

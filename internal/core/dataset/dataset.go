@@ -135,8 +135,7 @@ type Config struct {
 	// commutatively.
 	Workers int
 	// Ctx, when set, cancels the scan fan-out between shards; Build
-	// re-raises the context error as a panic, matching the other stage
-	// error paths.
+	// then returns the context error.
 	Ctx context.Context
 	// ParMetrics, when set, receives the scan fan-out's worker/shard
 	// gauges and queue-wait histogram (parallel.dataset.*).
@@ -197,8 +196,9 @@ func (cfg *Config) normalize() {
 	}
 }
 
-// Build runs the full pipeline.
-func Build(cfg Config) *Dataset {
+// Build runs the full pipeline. It errors only when a scan worker
+// panics or cfg.Ctx is cancelled.
+func Build(cfg Config) (*Dataset, error) {
 	cfg.normalize()
 	ds := &Dataset{
 		Ranges:     cfg.Ranges,
@@ -242,7 +242,7 @@ func Build(cfg Config) *Dataset {
 		}
 		return nil
 	}); err != nil {
-		panic(err) // only worker panics or Ctx cancellation land here
+		return nil, err
 	}
 
 	for _, r := range results {
@@ -260,7 +260,7 @@ func Build(cfg Config) *Dataset {
 		}
 	}
 	ds.Stats.SerialProbeTime = cfg.Fabric.Clock().Now().Sub(campaignStart)
-	return ds
+	return ds, nil
 }
 
 // scanDomain runs steps 1–4 for one domain. idx/total is the domain's

@@ -9,7 +9,7 @@ import (
 
 // world and ds are shared: dataset building is the expensive step.
 var (
-	world = deploy.Generate(deploy.DefaultConfig().Scaled(1200))
+	world = must(deploy.Generate(deploy.DefaultConfig().Scaled(1200)))
 	ds    = buildForWorld(world, 0)
 )
 
@@ -21,13 +21,13 @@ func buildForWorld(w *deploy.World, vantages int) *Dataset {
 	if vantages == 0 {
 		vantages = 40
 	}
-	return Build(Config{
+	return must(Build(Config{
 		Fabric:   w.Fabric,
 		Registry: w.Registry,
 		Ranges:   w.Ranges,
 		Domains:  names,
 		Vantages: vantages,
-	})
+	}))
 }
 
 func TestDiscoveryFindsMostCloudDomains(t *testing.T) {
@@ -201,4 +201,13 @@ func TestStatspopulated(t *testing.T) {
 	if ds.Stats.SubdomainsSeen <= ds.Stats.CloudSubdomains {
 		t.Fatal("should see more subdomains than cloud-using ones")
 	}
+}
+
+// must unwraps a fixture build; fixtures run without a cancellable
+// context, so an error can only be a worker panic.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
 }

@@ -16,24 +16,24 @@ import (
 // a delegation's name servers.
 
 func TestDiscoveryUnderPacketLoss(t *testing.T) {
-	w := deploy.Generate(deploy.DefaultConfig().Scaled(400))
+	w := must(deploy.Generate(deploy.DefaultConfig().Scaled(400)))
 	names := make([]string, 0, len(w.Domains))
 	for _, d := range w.Domains {
 		names = append(names, d.Name)
 	}
-	baseline := Build(Config{
+	baseline := must(Build(Config{
 		Fabric: w.Fabric, Registry: w.Registry, Ranges: w.Ranges,
 		Domains: names, Vantages: 10,
-	})
+	}))
 
 	// 15% loss: most domains have 3+ NS, so per-lookup failure
 	// probability is ~0.3%. Discovery should lose almost nothing.
 	w.Fabric.SetLoss(0.15, 7)
 	defer w.Fabric.SetLoss(0, 0)
-	lossy := Build(Config{
+	lossy := must(Build(Config{
 		Fabric: w.Fabric, Registry: w.Registry, Ranges: w.Ranges,
 		Domains: names, Vantages: 10,
-	})
+	}))
 
 	if lossy.Stats.CloudSubdomains == 0 {
 		t.Fatal("discovery collapsed under loss")
@@ -51,17 +51,17 @@ func TestDiscoveryUnderPacketLoss(t *testing.T) {
 }
 
 func TestDiscoveryUnderHeavyLossIsLowerBound(t *testing.T) {
-	w := deploy.Generate(deploy.DefaultConfig().Scaled(300))
+	w := must(deploy.Generate(deploy.DefaultConfig().Scaled(300)))
 	names := make([]string, 0, len(w.Domains))
 	for _, d := range w.Domains {
 		names = append(names, d.Name)
 	}
 	w.Fabric.SetLoss(0.5, 11)
 	defer w.Fabric.SetLoss(0, 0)
-	ds := Build(Config{
+	ds := must(Build(Config{
 		Fabric: w.Fabric, Registry: w.Registry, Ranges: w.Ranges,
 		Domains: names, Vantages: 5,
-	})
+	}))
 	// Heavy loss shrinks the dataset but never corrupts it.
 	truthSubs := 0
 	for _, d := range w.CloudDomains {
@@ -92,14 +92,14 @@ func buildFaulted(w *deploy.World, workers int, eng *chaos.Engine, comp *telemet
 	for _, d := range w.Domains {
 		names = append(names, d.Name)
 	}
-	return Build(Config{
+	return must(Build(Config{
 		Fabric: w.Fabric, Registry: w.Registry, Ranges: w.Ranges,
 		Domains: names, Vantages: 8, Workers: workers,
 		Chaos:           eng,
 		Completeness:    comp,
 		Backoff:         dnssrv.Backoff{MaxAttempts: 4, Base: 50 * time.Millisecond, Max: time.Second},
 		BreakerFailures: 4,
-	})
+	}))
 }
 
 func TestBuildUnderLossWorkerInvariant(t *testing.T) {

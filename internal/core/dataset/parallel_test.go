@@ -12,7 +12,7 @@ import (
 // simulated-clock-dependent state, so builds only compare equal when
 // each starts from an identical clock.
 func freshWorld() *deploy.World {
-	return deploy.Generate(deploy.DefaultConfig().Scaled(200))
+	return must(deploy.Generate(deploy.DefaultConfig().Scaled(200)))
 }
 
 func buildWith(w *deploy.World, workers int) *Dataset {
@@ -20,14 +20,14 @@ func buildWith(w *deploy.World, workers int) *Dataset {
 	for _, d := range w.Domains {
 		names = append(names, d.Name)
 	}
-	return Build(Config{
+	return must(Build(Config{
 		Fabric:   w.Fabric,
 		Registry: w.Registry,
 		Ranges:   w.Ranges,
 		Domains:  names,
 		Vantages: 8,
 		Workers:  workers,
-	})
+	}))
 }
 
 func datasetBytes(t testing.TB, d *Dataset) string {

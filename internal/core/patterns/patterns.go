@@ -151,17 +151,14 @@ type Result struct {
 	EC2Subs, AzureSubs int
 }
 
-// DetectAll classifies the whole dataset and builds Table 7's counts.
-func DetectAll(ds *dataset.Dataset) *Result {
-	return DetectAllPar(ds, parallel.Options{})
-}
-
-// DetectAllPar is DetectAll fanned out over a worker pool. Detect is a
-// pure function, so the per-subdomain classification shards freely;
-// the Table 7 aggregation walks the results in sorted-FQDN order on
-// the caller's goroutine, making the output independent of worker
-// count and scheduling.
-func DetectAllPar(ds *dataset.Dataset, opt parallel.Options) *Result {
+// DetectAllPar classifies the whole dataset and builds Table 7's
+// counts, fanned out over a worker pool. Detect is a pure function, so
+// the per-subdomain classification shards freely; the Table 7
+// aggregation walks the results in sorted-FQDN order on the caller's
+// goroutine, making the output independent of worker count and
+// scheduling. It errors only when a worker panics or opt.Ctx is
+// cancelled.
+func DetectAllPar(ds *dataset.Dataset, opt parallel.Options) (*Result, error) {
 	fqdns := make([]string, 0, len(ds.Subdomains))
 	for fqdn := range ds.Subdomains {
 		fqdns = append(fqdns, fqdn)
@@ -171,7 +168,7 @@ func DetectAllPar(ds *dataset.Dataset, opt parallel.Options) *Result {
 		return Detect(ds.Subdomains[fqdn], ds.Ranges), nil
 	})
 	if err != nil {
-		panic(err) // workers only surface panics; re-raise on the caller
+		return nil, err
 	}
 
 	r := &Result{
@@ -212,7 +209,7 @@ func DetectAllPar(ds *dataset.Dataset, opt parallel.Options) *Result {
 	for f, ips := range instances {
 		r.InstCounts[f] = len(ips)
 	}
-	return r
+	return r, nil
 }
 
 // VMInstanceCounts returns, for each VM-front subdomain, its number of
@@ -304,24 +301,15 @@ type NSAnalysis struct {
 	PerSubdomainNS []float64
 }
 
-// AnalyzeNS resolves each cloud-using domain's NS records from
+// AnalyzeNSPar resolves each cloud-using domain's NS records from
 // distributed vantages and locates the servers against the published
-// ranges.
-func AnalyzeNS(ds *dataset.Dataset, fabric *simnet.Fabric, registry *dnssrv.Registry, vantages int) *NSAnalysis {
-	return AnalyzeNSMetered(ds, fabric, registry, vantages, nil)
-}
-
-// AnalyzeNSMetered is AnalyzeNS with resolver instrumentation shared
-// across its vantage resolvers.
-func AnalyzeNSMetered(ds *dataset.Dataset, fabric *simnet.Fabric, registry *dnssrv.Registry, vantages int, m *dnssrv.ResolverMetrics) *NSAnalysis {
-	return AnalyzeNSPar(ds, fabric, registry, vantages, m, parallel.Options{Workers: 1})
-}
-
-// AnalyzeNSPar is AnalyzeNSMetered with the per-domain NS lookups and
-// per-server location scans fanned out over opt. The analysis draws no
-// randomness and folds results in sorted-domain (then first-seen
-// server) order, so the output is byte-identical at every worker count.
-func AnalyzeNSPar(ds *dataset.Dataset, fabric *simnet.Fabric, registry *dnssrv.Registry, vantages int, m *dnssrv.ResolverMetrics, opt parallel.Options) *NSAnalysis {
+// ranges. m, when set, is shared by every vantage resolver. The
+// per-domain NS lookups and per-server location scans fan out over
+// opt. The analysis draws no randomness and folds results in
+// sorted-domain (then first-seen server) order, so the output is
+// byte-identical at every worker count. It errors only when a worker
+// panics or opt.Ctx is cancelled.
+func AnalyzeNSPar(ds *dataset.Dataset, fabric *simnet.Fabric, registry *dnssrv.Registry, vantages int, m *dnssrv.ResolverMetrics, opt parallel.Options) (*NSAnalysis, error) {
 	if vantages <= 0 {
 		vantages = 50
 	}
@@ -343,7 +331,7 @@ func AnalyzeNSPar(ds *dataset.Dataset, fabric *simnet.Fabric, registry *dnssrv.R
 		return names, nil
 	})
 	if err != nil {
-		panic(err) // lookups return nil on failure; only re-raised panics arrive here
+		return nil, err
 	}
 	// Collect unique servers in first-seen order over the sorted
 	// domain list — the same order the sequential loop produced.
@@ -389,7 +377,7 @@ func AnalyzeNSPar(ds *dataset.Dataset, fabric *simnet.Fabric, registry *dnssrv.R
 		return loc, nil
 	})
 	if err != nil {
-		panic(err) // scans cannot fail; only re-raised panics arrive here
+		return nil, err
 	}
 	for i, ns := range uniqueNS {
 		out.Servers[ns] = locs[i]
@@ -404,5 +392,5 @@ func AnalyzeNSPar(ds *dataset.Dataset, fabric *simnet.Fabric, registry *dnssrv.R
 		}
 	}
 	sort.Float64s(out.PerSubdomainNS)
-	return out
+	return out, nil
 }

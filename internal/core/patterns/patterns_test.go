@@ -7,13 +7,14 @@ import (
 	"cloudscope/internal/core/dataset"
 	"cloudscope/internal/deploy"
 	"cloudscope/internal/ipranges"
+	"cloudscope/internal/parallel"
 	"cloudscope/internal/stats"
 )
 
 var (
-	world = deploy.Generate(deploy.DefaultConfig().Scaled(1500))
+	world = must(deploy.Generate(deploy.DefaultConfig().Scaled(1500)))
 	ds    = buildDataset()
-	res   = DetectAll(ds)
+	res   = must(DetectAllPar(ds, parallel.Options{}))
 )
 
 func buildDataset() *dataset.Dataset {
@@ -21,13 +22,13 @@ func buildDataset() *dataset.Dataset {
 	for _, d := range world.Domains {
 		names = append(names, d.Name)
 	}
-	return dataset.Build(dataset.Config{
+	return must(dataset.Build(dataset.Config{
 		Fabric:   world.Fabric,
 		Registry: world.Registry,
 		Ranges:   world.Ranges,
 		Domains:  names,
 		Vantages: 30,
-	})
+	}))
 }
 
 // truthFeature maps ground-truth patterns onto expected detections.
@@ -202,7 +203,7 @@ func TestSharedELBs(t *testing.T) {
 }
 
 func TestNSAnalysis(t *testing.T) {
-	ns := AnalyzeNS(ds, world.Fabric, world.Registry, 20)
+	ns := must(AnalyzeNSPar(ds, world.Fabric, world.Registry, 20, nil, parallel.Options{}))
 	if len(ns.Servers) == 0 {
 		t.Fatal("no name servers analyzed")
 	}
@@ -266,4 +267,13 @@ func TestProviderAssignment(t *testing.T) {
 			t.Fatalf("%s: Azure deployment classified as EC2", fqdn)
 		}
 	}
+}
+
+// must unwraps a fixture build; fixtures run without a cancellable
+// context, so an error can only be a worker panic.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
 }

@@ -36,16 +36,13 @@ type Analysis struct {
 	RegionDoms map[string]int
 }
 
-// Analyze maps every classified subdomain to its regions.
-func Analyze(ds *dataset.Dataset, det *patterns.Result) *Analysis {
-	return AnalyzePar(ds, det, parallel.Options{})
-}
-
-// AnalyzePar is Analyze fanned out over a worker pool. The per-subdomain
-// region lookup is pure, so it shards over sorted FQDNs; the per-region
-// and per-domain tallies run sequentially over the ordered results, so
-// the output is independent of worker count.
-func AnalyzePar(ds *dataset.Dataset, det *patterns.Result, opt parallel.Options) *Analysis {
+// AnalyzePar maps every classified subdomain to its regions, fanned
+// out over a worker pool. The per-subdomain region lookup is pure, so
+// it shards over sorted FQDNs; the per-region and per-domain tallies
+// run sequentially over the ordered results, so the output is
+// independent of worker count. It errors only when a worker panics or
+// opt.Ctx is cancelled.
+func AnalyzePar(ds *dataset.Dataset, det *patterns.Result, opt parallel.Options) (*Analysis, error) {
 	fqdns := make([]string, 0, len(det.Classes))
 	for fqdn := range det.Classes {
 		fqdns = append(fqdns, fqdn)
@@ -79,7 +76,7 @@ func AnalyzePar(ds *dataset.Dataset, det *patterns.Result, opt parallel.Options)
 		return sr, nil
 	})
 	if err != nil {
-		panic(err) // workers only surface panics; re-raise on the caller
+		return nil, err
 	}
 
 	a := &Analysis{RegionSubs: map[string]int{}, RegionDoms: map[string]int{}}
@@ -102,7 +99,7 @@ func AnalyzePar(ds *dataset.Dataset, det *patterns.Result, opt parallel.Options)
 			a.RegionDoms[r]++
 		}
 	}
-	return a
+	return a, nil
 }
 
 // RegionCountCDF returns Figure 6a's input for one provider: the number

@@ -7,14 +7,15 @@ import (
 	"cloudscope/internal/core/patterns"
 	"cloudscope/internal/deploy"
 	"cloudscope/internal/ipranges"
+	"cloudscope/internal/parallel"
 	"cloudscope/internal/stats"
 )
 
 var (
-	world = deploy.Generate(deploy.DefaultConfig().Scaled(1500))
+	world = must(deploy.Generate(deploy.DefaultConfig().Scaled(1500)))
 	ds    = buildDataset()
-	det   = patterns.DetectAll(ds)
-	an    = Analyze(ds, det)
+	det   = must(patterns.DetectAllPar(ds, parallel.Options{}))
+	an    = must(AnalyzePar(ds, det, parallel.Options{}))
 )
 
 func buildDataset() *dataset.Dataset {
@@ -22,13 +23,13 @@ func buildDataset() *dataset.Dataset {
 	for _, d := range world.Domains {
 		names = append(names, d.Name)
 	}
-	return dataset.Build(dataset.Config{
+	return must(dataset.Build(dataset.Config{
 		Fabric:   world.Fabric,
 		Registry: world.Registry,
 		Ranges:   world.Ranges,
 		Domains:  names,
 		Vantages: 30,
-	})
+	}))
 }
 
 type ranker struct{}
@@ -180,4 +181,13 @@ func containsStr(s, sub string) bool {
 		}
 	}
 	return false
+}
+
+// must unwraps a fixture build; fixtures run without a cancellable
+// context, so an error can only be a worker panic.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
 }

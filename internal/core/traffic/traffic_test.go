@@ -13,7 +13,7 @@ import (
 var analysis = buildAnalysis()
 
 func buildAnalysis() *capture.Analysis {
-	world := deploy.Generate(deploy.DefaultConfig().Scaled(1000))
+	world := must(deploy.Generate(deploy.DefaultConfig().Scaled(1000)))
 	cfg := capture.DefaultConfig()
 	cfg.Flows = 3000
 	var buf bytes.Buffer
@@ -79,4 +79,13 @@ func TestFigure3Series(t *testing.T) {
 			t.Fatalf("series %q CDF does not reach 1 (%.2f)", name, last.Y)
 		}
 	}
+}
+
+// must unwraps a fixture build; fixtures run without a cancellable
+// context, so an error can only be a worker panic.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
 }

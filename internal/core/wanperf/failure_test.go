@@ -31,14 +31,14 @@ func renderRTTRows(rows []RTTRow) string {
 // a measurement, never skew one, unless the brownout explicitly
 // inflates it.
 func TestRegionalBrownoutIntraCloudRTTs(t *testing.T) {
-	baseline := IntraCloudRTTs(cloud.NewEC2(41), "ec2.us-east-1", Options{Seed: 5})
+	baseline := must(IntraCloudRTTs(cloud.NewEC2(41), "ec2.us-east-1", Options{Seed: 5}))
 
 	sc, err := chaos.Parse("loss,p=0.9,region=us-east,window=0.1-0.9")
 	if err != nil {
 		t.Fatal(err)
 	}
 	comp := telemetry.NewCompleteness()
-	faulted := IntraCloudRTTs(cloud.NewEC2(41), "ec2.us-east-1", Options{Seed: 5, Par: parallel.Options{Workers: 2}, Chaos: chaos.New(sc, 13), Completeness: comp})
+	faulted := must(IntraCloudRTTs(cloud.NewEC2(41), "ec2.us-east-1", Options{Seed: 5, Par: parallel.Options{Workers: 2}, Chaos: chaos.New(sc, 13), Completeness: comp}))
 
 	if len(faulted) >= len(baseline) {
 		t.Fatalf("90%% probe loss dropped no rows: %d vs %d", len(faulted), len(baseline))
@@ -96,7 +96,7 @@ func TestVantageOutageMatrix(t *testing.T) {
 		return c
 	}
 	base := newCampaign()
-	baseCells := base.Matrix(wan.MetricLatency, regions, 12)
+	baseCells := must(base.Matrix(wan.MetricLatency, regions, 12))
 
 	sc, err := chaos.Parse("vantage-down,frac=0.4,window=0.2-0.8")
 	if err != nil {
@@ -105,7 +105,7 @@ func TestVantageOutageMatrix(t *testing.T) {
 	fc := newCampaign()
 	fc.Chaos = chaos.New(sc, 29)
 	fc.Completeness = telemetry.NewCompleteness()
-	cells := fc.Matrix(wan.MetricLatency, regions, 12)
+	cells := must(fc.Matrix(wan.MetricLatency, regions, 12))
 
 	if len(cells) != len(baseCells) {
 		t.Fatalf("cell count changed: %d vs %d", len(cells), len(baseCells))
@@ -151,9 +151,9 @@ func TestWanperfChaosWorkerInvariant(t *testing.T) {
 		camp.Rounds = 24
 		camp.Par = parallel.Options{Workers: workers}
 		camp.Chaos, camp.Completeness = eng, comp
-		cells := camp.Matrix(wan.MetricLatency, regions, 10)
-		rows := IntraCloudRTTs(cloud.NewEC2(43), "ec2.us-east-1", Options{Seed: 5, Par: parallel.Options{Workers: workers}, Chaos: eng, Completeness: comp})
-		isp := ISPDiversity(camp.Model, map[string]int{"ec2.us-east-1": 3, "ec2.eu-west-1": 2}, Options{Seed: 7, Par: parallel.Options{Workers: workers}, Chaos: eng, Completeness: comp})
+		cells := must(camp.Matrix(wan.MetricLatency, regions, 10))
+		rows := must(IntraCloudRTTs(cloud.NewEC2(43), "ec2.us-east-1", Options{Seed: 5, Par: parallel.Options{Workers: workers}, Chaos: eng, Completeness: comp}))
+		isp := must(ISPDiversity(camp.Model, map[string]int{"ec2.us-east-1": 3, "ec2.eu-west-1": 2}, Options{Seed: 7, Par: parallel.Options{Workers: workers}, Chaos: eng, Completeness: comp}))
 		var b strings.Builder
 		for _, c := range cells {
 			fmt.Fprintf(&b, "%s %s %.6f %d\n", c.Client, c.Region, c.Mean, c.Samples)

@@ -33,7 +33,8 @@ type Options struct {
 	// Seed roots the experiment's deterministic probe streams.
 	Seed int64
 	// Par bounds and instruments the worker fan-out; results are
-	// bit-identical at every worker count.
+	// bit-identical at every worker count. An experiment returns an
+	// error only when a worker panics or Par.Ctx is cancelled.
 	Par parallel.Options
 	// Chaos, when set, injects faults into the experiment's probes.
 	Chaos *chaos.Engine
@@ -53,7 +54,9 @@ type Campaign struct {
 	// Par controls the campaign's measurement fan-out. Each client
 	// (and, in TimeSeries, each region) draws from its own
 	// seed-derived stream, so results are identical at every worker
-	// count.
+	// count. Matrix and TimeSeries return an error only when a worker
+	// panics or Par.Ctx is cancelled; OptimalK, GreedyK and Outages fan
+	// out over Model.Par instead.
 	Par parallel.Options
 	// Chaos, when set, injects faults: PlanetLab clients go dark for
 	// stretches of the campaign (vantage-down) and region-scoped
@@ -87,7 +90,7 @@ type MatrixCell struct {
 // Matrix measures the mean metric for every (client, region) pair —
 // Figures 9 (throughput) and 10 (latency) restrict to the US regions.
 // Clients fan out across workers, each on its own seed-derived stream.
-func (c *Campaign) Matrix(metric wan.Metric, regions []string, maxClients int) []MatrixCell {
+func (c *Campaign) Matrix(metric wan.Metric, regions []string, maxClients int) ([]MatrixCell, error) {
 	clients := c.Model.Clients
 	if maxClients > 0 && len(clients) > maxClients {
 		clients = clients[:maxClients]
@@ -136,19 +139,19 @@ func (c *Campaign) Matrix(metric wan.Metric, regions []string, maxClients int) [
 		return cells, nil
 	})
 	if err != nil {
-		panic(err) // workers only surface panics; re-raise on the caller
+		return nil, err
 	}
 	var cells []MatrixCell
 	for _, cs := range perClient {
 		cells = append(cells, cs...)
 	}
-	return cells
+	return cells, nil
 }
 
 // TimeSeries measures one client's latency to several regions over the
 // campaign (Figure 11's Boulder plot). Regions fan out across workers,
 // each series on its own seed-derived stream.
-func (c *Campaign) TimeSeries(clientName string, regions []string) map[string][]stats.Point {
+func (c *Campaign) TimeSeries(clientName string, regions []string) (map[string][]stats.Point, error) {
 	var client geo.Vantage
 	found := false
 	for _, cl := range c.Model.Clients {
@@ -158,7 +161,7 @@ func (c *Campaign) TimeSeries(clientName string, regions []string) map[string][]
 		}
 	}
 	if !found {
-		return nil
+		return nil, nil
 	}
 	series, err := parallel.Map(c.Par, regions, func(ri int, region string) ([]stats.Point, error) {
 		rng := xrand.SplitSeeded(c.Seed, "wanperf/series/"+client.ID+"/"+region)
@@ -186,22 +189,22 @@ func (c *Campaign) TimeSeries(clientName string, regions []string) map[string][]
 		return pts, nil
 	})
 	if err != nil {
-		panic(err) // workers only surface panics; re-raise on the caller
+		return nil, err
 	}
 	out := map[string][]stats.Point{}
 	for i, region := range regions {
 		out[region] = series[i]
 	}
-	return out
+	return out, nil
 }
 
 // OptimalK runs Figure 12's exhaustive subset search.
-func (c *Campaign) OptimalK(metric wan.Metric, maxK int) []wan.OptimalKResult {
+func (c *Campaign) OptimalK(metric wan.Metric, maxK int) ([]wan.OptimalKResult, error) {
 	return c.Model.OptimalK(metric, maxK, c.Rounds/4, c.Interval*4, c.Start, c.Seed)
 }
 
 // GreedyK is the ablation comparator for OptimalK.
-func (c *Campaign) GreedyK(metric wan.Metric, maxK int) []wan.OptimalKResult {
+func (c *Campaign) GreedyK(metric wan.Metric, maxK int) ([]wan.OptimalKResult, error) {
 	return c.Model.GreedyK(metric, maxK, c.Rounds/4, c.Interval*4, c.Start, c.Seed)
 }
 
@@ -228,7 +231,7 @@ type RTTRow struct {
 // "wanperf/rtt". The fault phase is the pair's index over the
 // benchmark, and probe values draw before the loss verdict, so
 // surviving samples equal the fault-free run's.
-func IntraCloudRTTs(c *cloud.Cloud, region string, opt Options) []RTTRow {
+func IntraCloudRTTs(c *cloud.Cloud, region string, opt Options) ([]RTTRow, error) {
 	seed, eng, comp := opt.Seed, opt.Chaos, opt.Completeness
 	acct := c.NewAccount("rtt-bench")
 	labels := acct.ZoneLabels(region)
@@ -278,7 +281,7 @@ func IntraCloudRTTs(c *cloud.Cloud, region string, opt Options) []RTTRow {
 		}, nil
 	})
 	if err != nil {
-		panic(err) // probes cannot fail; only re-raised panics arrive here
+		return nil, err
 	}
 	out := make([]RTTRow, 0, len(rows))
 	for _, r := range rows {
@@ -286,7 +289,7 @@ func IntraCloudRTTs(c *cloud.Cloud, region string, opt Options) []RTTRow {
 			out = append(out, r.row)
 		}
 	}
-	return out
+	return out, nil
 }
 
 // --- Table 16: downstream-ISP diversity -------------------------------
@@ -309,7 +312,7 @@ type ISPRow struct {
 // (phase = the pair's index over the sweep), so observed ISP counts
 // are lower bounds of the fault-free run's, and per-zone accounting
 // lands in opt.Completeness under stage "wanperf/isp".
-func ISPDiversity(m *wan.Model, zoneCounts map[string]int, opt Options) []ISPRow {
+func ISPDiversity(m *wan.Model, zoneCounts map[string]int, opt Options) ([]ISPRow, error) {
 	seed, eng, comp := opt.Seed, opt.Chaos, opt.Completeness
 	regions := make([]string, 0, len(zoneCounts))
 	for r := range zoneCounts {
@@ -367,7 +370,7 @@ func ISPDiversity(m *wan.Model, zoneCounts map[string]int, opt Options) []ISPRow
 		return st, nil
 	})
 	if err != nil {
-		panic(err) // traceroutes cannot fail; only re-raised panics arrive here
+		return nil, err
 	}
 	var rows []ISPRow
 	i := 0
@@ -382,13 +385,16 @@ func ISPDiversity(m *wan.Model, zoneCounts map[string]int, opt Options) []ISPRow
 		}
 		rows = append(rows, row)
 	}
-	return rows
+	return rows, nil
 }
 
 // Outages wraps the wan outage simulation using the latency-optimal
 // region ordering.
-func (c *Campaign) Outages(maxK, trials int) wan.OutageResult {
-	best := c.OptimalK(wan.MetricLatency, maxK)
+func (c *Campaign) Outages(maxK, trials int) (wan.OutageResult, error) {
+	best, err := c.OptimalK(wan.MetricLatency, maxK)
+	if err != nil {
+		return wan.OutageResult{}, err
+	}
 	order := make([]string, 0, maxK)
 	seen := map[string]bool{}
 	for _, res := range best {

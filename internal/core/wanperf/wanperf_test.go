@@ -20,7 +20,7 @@ func newCampaign() *Campaign {
 
 func TestMatrixShapes(t *testing.T) {
 	c := newCampaign()
-	lat := c.Matrix(wan.MetricLatency, usRegions, 15)
+	lat := must(c.Matrix(wan.MetricLatency, usRegions, 15))
 	if len(lat) != 15*3 {
 		t.Fatalf("cells = %d", len(lat))
 	}
@@ -43,7 +43,7 @@ func TestMatrixShapes(t *testing.T) {
 			t.Fatalf("Seattle latency ratio %.1f, want factor >2 (paper: ~6)", m["ec2.us-east-1"]/m["ec2.us-west-2"])
 		}
 	}
-	thr := c.Matrix(wan.MetricThroughput, usRegions, 15)
+	thr := must(c.Matrix(wan.MetricThroughput, usRegions, 15))
 	for _, cell := range thr {
 		if cell.Mean < 10 || cell.Mean > 20000 {
 			t.Fatalf("throughput cell %+v implausible", cell)
@@ -53,7 +53,7 @@ func TestMatrixShapes(t *testing.T) {
 
 func TestBoulderSeries(t *testing.T) {
 	c := newCampaign()
-	series := c.TimeSeries("Boulder", usRegions)
+	series := must(c.TimeSeries("Boulder", usRegions))
 	if len(series) != 3 {
 		t.Fatalf("series = %d", len(series))
 	}
@@ -81,14 +81,14 @@ func TestBoulderSeries(t *testing.T) {
 	if series["ec2.us-east-1"][0].X != 0 {
 		t.Fatal("series X should start at hour 0")
 	}
-	if _, ok := c.TimeSeries("Nowhere", usRegions)["ec2.us-east-1"]; ok {
+	if _, ok := must(c.TimeSeries("Nowhere", usRegions))["ec2.us-east-1"]; ok {
 		t.Fatal("unknown client should yield nil")
 	}
 }
 
 func TestOptimalKFigure12(t *testing.T) {
 	c := newCampaign()
-	res := c.OptimalK(wan.MetricLatency, 4)
+	res := must(c.OptimalK(wan.MetricLatency, 4))
 	if len(res) != 4 {
 		t.Fatalf("results = %d", len(res))
 	}
@@ -96,7 +96,7 @@ func TestOptimalKFigure12(t *testing.T) {
 	if drop3 < 0.15 || drop3 > 0.55 {
 		t.Fatalf("k=3 latency drop %.2f, want ~0.33", drop3)
 	}
-	greedy := c.GreedyK(wan.MetricLatency, 4)
+	greedy := must(c.GreedyK(wan.MetricLatency, 4))
 	for i := range res {
 		if greedy[i].Value < res[i].Value-1e-9 {
 			t.Fatalf("greedy beat exhaustive at k=%d", i+1)
@@ -106,7 +106,7 @@ func TestOptimalKFigure12(t *testing.T) {
 
 func TestIntraCloudRTTTable11(t *testing.T) {
 	ec2 := cloud.NewEC2(33)
-	rows := IntraCloudRTTs(ec2, "ec2.us-east-1", Options{Seed: 7, Par: parallel.Options{Workers: 1}})
+	rows := must(IntraCloudRTTs(ec2, "ec2.us-east-1", Options{Seed: 7, Par: parallel.Options{Workers: 1}}))
 	if len(rows) != len(cloud.InstanceTypes)*3 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -132,7 +132,7 @@ func TestISPDiversityTable16(t *testing.T) {
 	zoneCounts := map[string]int{
 		"ec2.us-east-1": 3, "ec2.us-west-1": 2, "ec2.sa-east-1": 2,
 	}
-	rows := ISPDiversity(m, zoneCounts, Options{Seed: 9, Par: parallel.Options{Workers: 1}})
+	rows := must(ISPDiversity(m, zoneCounts, Options{Seed: 9, Par: parallel.Options{Workers: 1}}))
 	byRegion := map[string]ISPRow{}
 	for _, r := range rows {
 		byRegion[r.Region] = r
@@ -164,11 +164,20 @@ func TestISPDiversityTable16(t *testing.T) {
 
 func TestOutagesImproveWithK(t *testing.T) {
 	c := newCampaign()
-	res := c.Outages(3, 25)
+	res := must(c.Outages(3, 25))
 	if res.MeanUnreachable[1] <= res.MeanUnreachable[3] {
 		// strictly better with 3 regions (could tie at 0 in theory).
 		if res.MeanUnreachable[1] != 0 {
 			t.Fatalf("outage risk not reduced: %v", res.MeanUnreachable)
 		}
 	}
+}
+
+// must unwraps a campaign run; these runs have no cancellable context,
+// so an error can only be a worker panic.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
 }

@@ -68,8 +68,9 @@ type Study struct {
 	subDomain map[string]string
 }
 
-// Run executes the study over a dataset's detection results.
-func Run(ds *dataset.Dataset, det *patterns.Result, ec2 *cloud.Cloud, cfg Config) *Study {
+// Run executes the study over a dataset's detection results. It errors
+// only when a cartography worker panics or cfg.Par.Ctx is cancelled.
+func Run(ds *dataset.Dataset, det *patterns.Result, ec2 *cloud.Cloud, cfg Config) (*Study, error) {
 	s := &Study{
 		Cloud:     ec2,
 		SubZones:  map[string][]ZoneKey{},
@@ -106,9 +107,16 @@ func Run(ds *dataset.Dataset, det *patterns.Result, ec2 *cloud.Cloud, cfg Config
 	// Cartography.
 	s.Ref = ec2.NewAccount("zones-reference")
 	copt := cartography.Options{Seed: cfg.Seed, Par: cfg.Par, Chaos: cfg.Chaos, Completeness: cfg.Completeness}
-	s.Samples = cartography.SampleAccounts(ec2, s.Ref, cfg.Accounts-1, cfg.SamplesPerZone, copt)
-	s.PM = cartography.MergeAccounts(s.Samples, s.Ref.Name, copt)
-	s.Lat = cartography.IdentifyByLatency(ec2, s.Ref, s.Targets, cfg.Latency, copt)
+	var err error
+	if s.Samples, err = cartography.SampleAccounts(ec2, s.Ref, cfg.Accounts-1, cfg.SamplesPerZone, copt); err != nil {
+		return nil, err
+	}
+	if s.PM, err = cartography.MergeAccounts(s.Samples, s.Ref.Name, copt); err != nil {
+		return nil, err
+	}
+	if s.Lat, err = cartography.IdentifyByLatency(ec2, s.Ref, s.Targets, cfg.Latency, copt); err != nil {
+		return nil, err
+	}
 	s.Combined = cartography.IdentifyCombined(s.Targets, s.PM, s.Lat)
 
 	// Subdomain zone sets from combined identifications.
@@ -136,7 +144,7 @@ func Run(ds *dataset.Dataset, det *patterns.Result, ec2 *cloud.Cloud, cfg Config
 		})
 		s.SubZones[fqdn] = keys
 	}
-	return s
+	return s, nil
 }
 
 // Table12Row summarizes latency identification for one region.

@@ -6,14 +6,15 @@ import (
 	"cloudscope/internal/core/dataset"
 	"cloudscope/internal/core/patterns"
 	"cloudscope/internal/deploy"
+	"cloudscope/internal/parallel"
 	"cloudscope/internal/stats"
 )
 
 var (
-	world = deploy.Generate(deploy.DefaultConfig().Scaled(1500))
+	world = must(deploy.Generate(deploy.DefaultConfig().Scaled(1500)))
 	ds    = buildDataset()
-	det   = patterns.DetectAll(ds)
-	study = Run(ds, det, world.EC2, DefaultConfig())
+	det   = must(patterns.DetectAllPar(ds, parallel.Options{}))
+	study = must(Run(ds, det, world.EC2, DefaultConfig()))
 )
 
 func buildDataset() *dataset.Dataset {
@@ -21,13 +22,13 @@ func buildDataset() *dataset.Dataset {
 	for _, d := range world.Domains {
 		names = append(names, d.Name)
 	}
-	return dataset.Build(dataset.Config{
+	return must(dataset.Build(dataset.Config{
 		Fabric:   world.Fabric,
 		Registry: world.Registry,
 		Ranges:   world.Ranges,
 		Domains:  names,
 		Vantages: 30,
-	})
+	}))
 }
 
 type ranker struct{}
@@ -210,4 +211,13 @@ func TestFigure7SeriesSegregate(t *testing.T) {
 			owner[p16] = zone
 		}
 	}
+}
+
+// must unwraps a fixture build; fixtures run without a cancellable
+// context, so an error can only be a worker panic.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
 }

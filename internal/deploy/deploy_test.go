@@ -11,7 +11,7 @@ import (
 )
 
 // testWorld is shared across tests: generation is the expensive step.
-var testW = Generate(DefaultConfig().Scaled(4000))
+var testW = must(Generate(DefaultConfig().Scaled(4000)))
 
 func TestCloudFraction(t *testing.T) {
 	frac := float64(len(testW.CloudDomains)) / float64(len(testW.Domains))
@@ -395,8 +395,8 @@ func regionCountry(region string) string {
 }
 
 func TestDeterminism(t *testing.T) {
-	a := Generate(DefaultConfig().Scaled(300))
-	b := Generate(DefaultConfig().Scaled(300))
+	a := must(Generate(DefaultConfig().Scaled(300)))
+	b := must(Generate(DefaultConfig().Scaled(300)))
 	if len(a.CloudDomains) != len(b.CloudDomains) {
 		t.Fatalf("cloud domain counts differ: %d vs %d", len(a.CloudDomains), len(b.CloudDomains))
 	}
@@ -418,4 +418,13 @@ func TestMeanCloudSubsInRange(t *testing.T) {
 	if mean < 4 || mean > 40 {
 		t.Fatalf("mean cloud subdomains per domain = %.1f, want ~10-20", mean)
 	}
+}
+
+// must unwraps a fixture build; fixtures run without a cancellable
+// context, so an error can only be a worker panic.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
 }

@@ -89,10 +89,11 @@ func newGenParams(cfg Config) genParams {
 // draws. Per-domain draws live on split streams keyed by name, which
 // are position-independent, and commit order across chunks equals rank
 // order — so the world is bit-for-bit identical at any chunk size and
-// worker count.
-func (w *World) deployChunk(rng *xrand.Rand, ads []*alexa.Domain, gp genParams) []*Domain {
+// worker count. The only error is a planning worker's panic or
+// w.Cfg.Par.Ctx's cancellation.
+func (w *World) deployChunk(rng *xrand.Rand, ads []*alexa.Domain, gp genParams) ([]*Domain, error) {
 	if len(ads) == 0 {
-		return nil
+		return nil, nil
 	}
 	axfr := make([]bool, len(ads))
 	for i := range ads {
@@ -107,7 +108,7 @@ func (w *World) deployChunk(rng *xrand.Rand, ads []*alexa.Domain, gp genParams) 
 		}
 		return nil
 	}); err != nil {
-		panic(err) // plan fns return nil errors; only worker panics land here
+		return nil, err
 	}
 
 	out := make([]*Domain, len(plans))
@@ -115,7 +116,7 @@ func (w *World) deployChunk(rng *xrand.Rand, ads []*alexa.Domain, gp genParams) 
 		p.commit()
 		out[i] = p.d
 	}
-	return out
+	return out, nil
 }
 
 // planDomain decides one domain's fate on its private stream and plans

@@ -19,7 +19,7 @@ func genDigest(seed int64, domains, workers, shardSize int) string {
 	cfg := DefaultConfig().Scaled(domains)
 	cfg.Seed = seed
 	cfg.Par = parallel.Options{Workers: workers, ShardSize: shardSize}
-	return worldDigest(Generate(cfg))
+	return worldDigest(must(Generate(cfg)))
 }
 
 // TestGenerateWorkerCountInvariant drives the generator's parallel path
@@ -51,7 +51,7 @@ func BenchmarkWorldGenWorkers(b *testing.B) {
 			cfg.Par = parallel.Options{Workers: workers}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				Generate(cfg)
+				must(Generate(cfg))
 			}
 		})
 	}

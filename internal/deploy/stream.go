@@ -63,20 +63,24 @@ func (ws *WorldStream) World() *World { return ws.w }
 func (ws *WorldStream) NumCloudDomains() int { return ws.cloud }
 
 // Next deploys and returns the next chunk, or nil when the ranked list
-// is exhausted.
-func (ws *WorldStream) Next() *Chunk {
+// is exhausted. It errors like Generate.
+func (ws *WorldStream) Next() (*Chunk, error) {
 	ads := ws.src.Next(ws.chunkSize)
 	if len(ads) == 0 {
-		return nil
+		return nil, nil
 	}
-	c := &Chunk{Start: ws.start, Domains: ws.w.deployChunk(ws.rng, ads, ws.gp)}
+	domains, err := ws.w.deployChunk(ws.rng, ads, ws.gp)
+	if err != nil {
+		return nil, err
+	}
+	c := &Chunk{Start: ws.start, Domains: domains}
 	ws.start += len(c.Domains)
 	for _, d := range c.Domains {
 		if d.CloudUsing() {
 			ws.cloud++
 		}
 	}
-	return c
+	return c, nil
 }
 
 // Release tears down every domain in the chunk: zone delegations,

@@ -247,20 +247,25 @@ func (o *otherAllocator) next() netaddr.IP {
 
 // Generate builds a world from cfg. It is deterministic in cfg.Seed,
 // and — because it is exactly one all-domain chunk of the streaming
-// path — byte-identical to GenerateStream at any chunk size.
-func Generate(cfg Config) *World {
+// path — byte-identical to GenerateStream at any chunk size. It errors
+// only when a planning worker panics or cfg.Par.Ctx is cancelled.
+func Generate(cfg Config) (*World, error) {
 	w := newWorld(cfg, false)
 	w.List = alexa.Generate(cfg.NumDomains, cfg.Seed, alexa.DefaultAnchors)
 	w.AWIS = alexa.NewWebInfoService(w.List, 0.75, cfg.Seed)
 	rng := w.rng.Split("domains")
 	gp := newGenParams(cfg)
-	for _, d := range w.deployChunk(rng, w.List.Domains, gp) {
+	domains, err := w.deployChunk(rng, w.List.Domains, gp)
+	if err != nil {
+		return nil, err
+	}
+	for _, d := range domains {
 		w.Domains = append(w.Domains, d)
 		if d.CloudUsing() {
 			w.CloudDomains = append(w.CloudDomains, d)
 		}
 	}
-	return w
+	return w, nil
 }
 
 // newWorld builds the shared substrate both generators start from: the

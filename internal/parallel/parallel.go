@@ -123,15 +123,6 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("parallel: panic in shard %d [%d,%d): %v", e.Shard.Index, e.Shard.Lo, e.Shard.Hi, e.Value)
 }
 
-// Unwrap exposes an error panic value to errors.Is/As, so a nested
-// stage's re-raised cancellation still matches context.Canceled.
-func (e *PanicError) Unwrap() error {
-	if err, ok := e.Value.(error); ok {
-		return err
-	}
-	return nil
-}
-
 // Run shards [0, n) and executes fn once per shard. With one worker
 // the shards run inline in order; otherwise they are queued in order
 // to a bounded pool. Run returns the error (or captured panic) from

@@ -11,7 +11,7 @@ import (
 	"cloudscope/internal/wan"
 )
 
-var world = deploy.Generate(deploy.DefaultConfig().Scaled(400))
+var world = must(deploy.Generate(deploy.DefaultConfig().Scaled(400)))
 
 func newProber(idx int) *Prober {
 	return New(Config{
@@ -144,4 +144,13 @@ func TestVantagesDiffer(t *testing.T) {
 	if a.Vantage().ID == b.Vantage().ID {
 		t.Fatal("vantages identical")
 	}
+}
+
+// must unwraps a fixture build; fixtures run without a cancellable
+// context, so an error can only be a worker panic.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
 }

@@ -60,7 +60,8 @@ type Model struct {
 
 	// Par controls the sample-collection fan-out. Each client draws
 	// from its own seed-derived stream, so results are identical at
-	// every worker count.
+	// every worker count. The fanned-out methods return an error only
+	// when a worker panics or Par.Ctx is cancelled.
 	Par parallel.Options
 
 	// metrics is read on every sample, so it bypasses any locking.
@@ -304,7 +305,7 @@ type OutageResult struct {
 // region; a client is cut off if, for every region in its deployment,
 // its route traverses a failed ISP. Deployments of size k use the first
 // k regions of bestOrder.
-func (m *Model) SimulateOutages(bestOrder []string, maxK, trials int, seed int64) OutageResult {
+func (m *Model) SimulateOutages(bestOrder []string, maxK, trials int, seed int64) (OutageResult, error) {
 	res := OutageResult{Trials: trials, MeanUnreachable: map[int]float64{}}
 	for k := 1; k <= maxK && k <= len(bestOrder); k++ {
 		regions := bestOrder[:k]
@@ -341,7 +342,7 @@ func (m *Model) SimulateOutages(bestOrder []string, maxK, trials int, seed int64
 			sums[sh.Index] = sum
 			return nil
 		}); err != nil {
-			panic(err) // trials cannot fail; only re-raised panics arrive here
+			return OutageResult{}, err
 		}
 		// Fold per-shard partial sums in shard order so float addition
 		// order is fixed regardless of completion order.
@@ -351,7 +352,7 @@ func (m *Model) SimulateOutages(bestOrder []string, maxK, trials int, seed int64
 		}
 		res.MeanUnreachable[k] = sum / float64(trials)
 	}
-	return res
+	return res, nil
 }
 
 // --- Optimal-k analysis -----------------------------------------------
@@ -384,7 +385,7 @@ type samples struct {
 // fan out across workers, each drawing from its own seed-derived
 // stream and writing only its column of every round, so the sample
 // tensor is identical at every worker count.
-func (m *Model) collect(metric Metric, rounds int, interval time.Duration, start time.Time, seed int64) *samples {
+func (m *Model) collect(metric Metric, rounds int, interval time.Duration, start time.Time, seed int64) (*samples, error) {
 	s := &samples{vals: make([][][]float64, rounds)}
 	for round := range s.vals {
 		s.vals[round] = make([][]float64, len(m.Clients))
@@ -409,17 +410,20 @@ func (m *Model) collect(metric Metric, rounds int, interval time.Duration, start
 		return nil
 	})
 	if err != nil {
-		panic(err) // workers only surface panics; re-raise on the caller
+		return nil, err
 	}
-	return s
+	return s, nil
 }
 
 // OptimalK computes, for each k in [1, maxK], the best k-region subset
 // and the average performance clients would see picking their best
 // region each round — the paper's Figure 12 upper bound. The search is
 // exhaustive over subsets, exactly as published.
-func (m *Model) OptimalK(metric Metric, maxK, rounds int, interval time.Duration, start time.Time, seed int64) []OptimalKResult {
-	s := m.collect(metric, rounds, interval, start, seed)
+func (m *Model) OptimalK(metric Metric, maxK, rounds int, interval time.Duration, start time.Time, seed int64) ([]OptimalKResult, error) {
+	s, err := m.collect(metric, rounds, interval, start, seed)
+	if err != nil {
+		return nil, err
+	}
 	var results []OptimalKResult
 	n := len(m.Regions)
 	for k := 1; k <= maxK && k <= n; k++ {
@@ -442,13 +446,16 @@ func (m *Model) OptimalK(metric Metric, maxK, rounds int, interval time.Duration
 		})
 		results = append(results, best)
 	}
-	return results
+	return results, nil
 }
 
 // GreedyK is the ablation comparator: grow the region set greedily
 // instead of exhaustively.
-func (m *Model) GreedyK(metric Metric, maxK, rounds int, interval time.Duration, start time.Time, seed int64) []OptimalKResult {
-	s := m.collect(metric, rounds, interval, start, seed)
+func (m *Model) GreedyK(metric Metric, maxK, rounds int, interval time.Duration, start time.Time, seed int64) ([]OptimalKResult, error) {
+	s, err := m.collect(metric, rounds, interval, start, seed)
+	if err != nil {
+		return nil, err
+	}
 	var chosen []int
 	var results []OptimalKResult
 	remaining := map[int]bool{}
@@ -482,7 +489,7 @@ func (m *Model) GreedyK(metric Metric, maxK, rounds int, interval time.Duration,
 		sort.Strings(regions)
 		results = append(results, OptimalKResult{K: k, Regions: regions, Value: bestVal})
 	}
-	return results
+	return results, nil
 }
 
 // score averages each client's per-round best value over a subset.

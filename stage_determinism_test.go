@@ -45,7 +45,7 @@ func stageHashes(t *testing.T, seed int64, workers int) map[string]string {
 	wcfg := deploy.DefaultConfig().Scaled(400)
 	wcfg.Seed = seed
 	wcfg.Par = opt
-	world := deploy.Generate(wcfg)
+	world := must(deploy.Generate(wcfg))
 	digest("world", func(h *sha256Writer) { world.DumpTruth(h) })
 
 	// Stage 2: subdomain discovery over the world.
@@ -53,14 +53,14 @@ func stageHashes(t *testing.T, seed int64, workers int) map[string]string {
 	for _, d := range world.Domains {
 		names = append(names, d.Name)
 	}
-	ds := dataset.Build(dataset.Config{
+	ds := must(dataset.Build(dataset.Config{
 		Fabric:   world.Fabric,
 		Registry: world.Registry,
 		Ranges:   world.Ranges,
 		Domains:  names,
 		Vantages: 8,
 		Workers:  workers,
-	})
+	}))
 	digest("dataset", func(h *sha256Writer) {
 		if _, err := ds.WriteTo(h); err != nil {
 			t.Fatal(err)
@@ -91,8 +91,8 @@ func stageHashes(t *testing.T, seed int64, workers int) map[string]string {
 
 	// Stage 4: cartography sampling and the proximity-map merge.
 	ref := world.EC2.NewAccount("stage-ref")
-	samples := cartography.SampleAccounts(world.EC2, ref, 3, 3, cartography.Options{Seed: seed, Par: opt})
-	pm := cartography.MergeAccounts(samples, ref.Name, cartography.Options{Par: opt})
+	samples := must(cartography.SampleAccounts(world.EC2, ref, 3, 3, cartography.Options{Seed: seed, Par: opt}))
+	pm := must(cartography.MergeAccounts(samples, ref.Name, cartography.Options{Par: opt}))
 	digest("cartography", func(h *sha256Writer) {
 		for _, s := range samples {
 			fmt.Fprintf(h, "S %s %s %s %s\n", s.Account, s.Region, s.Label, s.InternalIP)
@@ -123,7 +123,7 @@ func streamedWorldHash(t *testing.T, seed int64, workers, chunk int) string {
 	ws := deploy.GenerateStream(wcfg, chunk)
 	h := &sha256Writer{}
 	for {
-		c := ws.Next()
+		c := must(ws.Next())
 		if c == nil {
 			break
 		}
@@ -160,7 +160,7 @@ func streamedDatasetHash(t *testing.T, seed int64, workers, chunk int) string {
 	}
 	defer sb.Close()
 	for {
-		c := ws.Next()
+		c := must(ws.Next())
 		if c == nil {
 			break
 		}
@@ -264,7 +264,7 @@ func TestCapturePcapLayoutDeterminism(t *testing.T) {
 	const seed = 3
 	wcfg := deploy.DefaultConfig().Scaled(400)
 	wcfg.Seed = seed
-	world := deploy.Generate(wcfg)
+	world := must(deploy.Generate(wcfg))
 	golden := capturePcapHash(t, world, seed, parallel.Options{Workers: 1})
 	for _, workers := range stageWorkerCounts() {
 		for _, shard := range []int{0, 1, 19, 128} {

@@ -60,7 +60,10 @@ func StreamDataset(cfg Config, chunkSize int, spillDir string, out io.Writer) (d
 
 	names := make([]string, 0, chunkSize)
 	for {
-		chunk := ws.Next()
+		chunk, err := ws.Next()
+		if err != nil {
+			return sb.Stats(), err
+		}
 		if chunk == nil {
 			break
 		}

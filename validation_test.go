@@ -117,7 +117,7 @@ func TestHeadlineOptimalK(t *testing.T) {
 	// "Expanding from one region to three could yield 33% lower average
 	// latency, with diminishing returns after k=3."
 	c := headlineStudy.Campaign()
-	res := c.OptimalK(wan.MetricLatency, 4)
+	res := must(c.OptimalK(wan.MetricLatency, 4))
 	if res[0].Regions[0] != "ec2.us-east-1" {
 		t.Fatalf("k=1 best = %v", res[0].Regions)
 	}
