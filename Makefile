@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build check test race bench bench-smoke bench-snapshot serve-smoke experiments world chaos bisect-smoke fuzz-chaos fuzz-chaos-v3 fuzz-trace fuzz-packet fuzz-pcap fuzz-diskfmt clean
+.PHONY: all build check test race bench serve-smoke experiments world chaos bisect-smoke fuzz-chaos fuzz-chaos-v3 fuzz-trace fuzz-packet fuzz-pcap fuzz-diskfmt clean
 
 all: build check test
 
@@ -13,7 +13,9 @@ build:
 # hottest concurrent paths (telemetry instruments, fabric, resolver,
 # the worker pool, and every parallelized analysis stage), plus a
 # repeated small-shard stress run that forces shard-boundary
-# interleavings in the pool.
+# interleavings in the pool. Last, it vets and self-tests perfbench/,
+# a nested module that the root `go build ./...` never compiles, so a
+# library API change cannot silently break the benchmark.
 check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 	@if grep -rn --include='*.go' '"unsafe"' . ; then \
@@ -33,7 +35,7 @@ check:
 	$(GO) test -race -count=2 -run 'TestStreamingSmallChunkInvariance' .
 	$(GO) test -race -count=2 -run 'CancelMidBuild' . ./api
 	$(MAKE) serve-smoke
-	$(MAKE) bench-smoke
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 test:
 	$(GO) test ./...
@@ -44,32 +46,11 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# The most recent committed perf snapshot (BENCH_*.json sorts by date).
-BENCH_BASELINE := $(lastword $(sort $(wildcard BENCH_*.json)))
-
-# Tiny matrix under the race detector, compared against the committed
-# snapshot. Advisory: -race skews timings far beyond the regression
-# threshold, so this run proves the harness end to end (matrix, chaos
-# and capture-chaos legs, snapshot write, compare) without gating on
-# noisy numbers — the
-# hard regression gate is exercised hermetically by the bench package's
-# synthetic-regression test.
-bench-smoke:
-	$(GO) run -race ./cmd/cloudbench -sizes 1000 -workers 1 -reps 1 \
-		-chaos flaky-internet -serve -serve-requests 300 \
-		-out $(or $(TMPDIR),/tmp)/cloudscope-bench-smoke.json \
-		$(if $(BENCH_BASELINE),-compare $(BENCH_BASELINE) -advisory)
-
 # The query daemon end to end under the race detector: a cloudscoped
 # server on a random port, a tiny seeded cloudload mix, zero request
 # errors, and a parseable /metrics document.
 serve-smoke:
 	$(GO) test -race -count=1 -run 'TestServeSmoke' ./internal/serve
-
-# Full benchmark matrix; commit the refreshed BENCH_<date>.json to
-# extend the repo's perf trajectory.
-bench-snapshot:
-	$(GO) run ./cmd/cloudbench
 
 # Regenerate every table and figure of the paper.
 experiments:

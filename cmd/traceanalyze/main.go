@@ -1,9 +1,9 @@
 // Command traceanalyze runs the Bro-style analyzer over a pcap file
-// (e.g. one written by worldgen) and prints the §3 tables. With
-// -chaos-diff it instead compares two recorded fault traces:
+// (e.g. one written by worldgen) and prints the §3 tables:
 //
 //	traceanalyze capture.pcap
-//	traceanalyze -chaos-diff A.jsonl B.jsonl
+//
+// Recorded fault traces are compared with experiments -chaos-diff.
 package main
 
 import (
@@ -19,8 +19,6 @@ import (
 )
 
 func main() {
-	chaosDiff := flag.String("chaos-diff", "",
-		"compare the fault trace in this file against a second trace (the positional argument, or 'A.jsonl,B.jsonl') and print the verdict delta; exits 1 when they differ")
 	shared := cliflags.Register(flag.CommandLine)
 	flag.Parse()
 	// The flags are registered identically across all commands, but this
@@ -29,16 +27,6 @@ func main() {
 	// flags still apply: profiling the analyzer is their point here.
 	if err := shared.RejectStudyFlags("traceanalyze"); err != nil {
 		fatal(err)
-	}
-	if *chaosDiff != "" {
-		identical, err := cliflags.DiffTraces(*chaosDiff, flag.Arg(0), os.Stdout)
-		if err != nil {
-			fatal(err)
-		}
-		if !identical {
-			os.Exit(1)
-		}
-		return
 	}
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: traceanalyze [-workers n] [-cpuprofile f] [-memprofile f] <capture.pcap>")

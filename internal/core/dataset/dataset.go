@@ -180,13 +180,6 @@ func vantageLabel(i int) string {
 
 // normalize fills the Config's defaults; Build calls it exactly once,
 // so every default lives here.
-//
-// NOTE: the deprecated Parallelism alias for Workers is GONE. It was
-// honored only when Workers was zero and existed solely to ease the
-// Workers migration; callers that still set Parallelism must set
-// Workers instead. The Workers contract is unchanged: 0 means
-// GOMAXPROCS, 1 forces the exact sequential path, and the dataset is
-// byte-identical at every setting.
 func (cfg *Config) normalize() {
 	if cfg.Wordlist == nil {
 		cfg.Wordlist = wordlist.Common()
@@ -194,6 +187,25 @@ func (cfg *Config) normalize() {
 	if cfg.Vantages <= 0 {
 		cfg.Vantages = 200
 	}
+}
+
+// bruteNodes is the size of the shared brute-force resolver pool, one
+// resolver per PlanetLab node of the paper's campaign.
+const bruteNodes = 150
+
+// resolverPool builds n shared discovery resolvers, the i-th sourced
+// from vantageIP(i). Resolvers are safe for concurrent use and, with
+// NoRecurse set, stateless between queries, so Build and StreamBuilder
+// construct their brute-force and re-resolution pools once each.
+func resolverPool(cfg Config, n int) []*dnssrv.Resolver {
+	pool := make([]*dnssrv.Resolver, n)
+	for i := range pool {
+		pool[i] = dnssrv.NewResolver(cfg.Fabric, cfg.Registry, vantageIP(i))
+		pool[i].NoRecurse = true
+		pool[i].Metrics = cfg.Metrics
+		pool[i].Backoff = cfg.Backoff
+	}
+	return pool
 }
 
 // Build runs the full pipeline. It errors only when a scan worker
@@ -208,23 +220,7 @@ func Build(cfg Config) (*Dataset, error) {
 	}
 	campaignStart := cfg.Fabric.Clock().Now()
 
-	// Shared resolver pools: 150 brute-force nodes and cfg.Vantages
-	// re-resolution nodes. Resolvers are safe for concurrent use and,
-	// with NoRecurse set, stateless between queries.
-	brute := make([]*dnssrv.Resolver, 150)
-	for i := range brute {
-		brute[i] = dnssrv.NewResolver(cfg.Fabric, cfg.Registry, vantageIP(i))
-		brute[i].NoRecurse = true
-		brute[i].Metrics = cfg.Metrics
-		brute[i].Backoff = cfg.Backoff
-	}
-	vantages := make([]*dnssrv.Resolver, cfg.Vantages)
-	for i := range vantages {
-		vantages[i] = dnssrv.NewResolver(cfg.Fabric, cfg.Registry, vantageIP(i))
-		vantages[i].NoRecurse = true
-		vantages[i].Metrics = cfg.Metrics
-		vantages[i].Backoff = cfg.Backoff
-	}
+	brute, vantages := resolverPool(cfg, bruteNodes), resolverPool(cfg, cfg.Vantages)
 
 	type domainResult struct {
 		summary *DomainSummary
@@ -285,7 +281,7 @@ func scanDomain(cfg Config, bruteRV *dnssrv.Resolver, vantages []*dnssrv.Resolve
 	var bstats telemetry.Counts
 	bruteRV = bruteRV.ForUnit("dataset/"+domain, budget, &bstats)
 	defer func() {
-		cfg.Completeness.Merge("dataset/brute", vantageLabel(idx%150), bstats)
+		cfg.Completeness.Merge("dataset/brute", vantageLabel(idx%bruteNodes), bstats)
 	}()
 
 	// Step 1: zone transfer.

@@ -64,27 +64,13 @@ func NewStreamBuilder(cfg StreamConfig) (*StreamBuilder, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dataset: creating spill dir: %w", err)
 	}
-	b := &StreamBuilder{
-		cfg:   cfg,
-		start: cfg.Fabric.Clock().Now(),
-		dir:   dir,
-	}
-	// The shared resolver pools, constructed once like Build's.
-	b.brute = make([]*dnssrv.Resolver, 150)
-	for i := range b.brute {
-		b.brute[i] = dnssrv.NewResolver(cfg.Fabric, cfg.Registry, vantageIP(i))
-		b.brute[i].NoRecurse = true
-		b.brute[i].Metrics = cfg.Metrics
-		b.brute[i].Backoff = cfg.Backoff
-	}
-	b.vantages = make([]*dnssrv.Resolver, cfg.Vantages)
-	for i := range b.vantages {
-		b.vantages[i] = dnssrv.NewResolver(cfg.Fabric, cfg.Registry, vantageIP(i))
-		b.vantages[i].NoRecurse = true
-		b.vantages[i].Metrics = cfg.Metrics
-		b.vantages[i].Backoff = cfg.Backoff
-	}
-	return b, nil
+	return &StreamBuilder{
+		cfg:      cfg,
+		brute:    resolverPool(cfg.Config, bruteNodes),
+		vantages: resolverPool(cfg.Config, cfg.Vantages),
+		start:    cfg.Fabric.Clock().Now(),
+		dir:      dir,
+	}, nil
 }
 
 // Stats returns the campaign totals accumulated so far; final after

@@ -662,10 +662,3 @@ func sanitize(s string) string {
 	}
 	return sb.String()
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
