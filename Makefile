@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build check test race bench serve-smoke experiments world chaos bisect-smoke fuzz-chaos fuzz-chaos-v3 fuzz-trace fuzz-packet fuzz-pcap fuzz-diskfmt clean
+.PHONY: all build check test race bench serve-smoke experiments world chaos bisect-smoke fuzz-chaos fuzz-chaos-v3 fuzz-trace fuzz-packet fuzz-pcap fuzz-diskfmt fuzz-dnswire clean
 
 all: build check test
 
@@ -107,6 +107,13 @@ fuzz-pcap:
 # an encode/decode round trip).
 fuzz-diskfmt:
 	$(GO) test -fuzz=FuzzDiskFmtRoundTrip -fuzztime=10s ./internal/core/dataset/diskfmt
+
+# Fuzz the DNS wire codec every simulated query crosses (arbitrary
+# bytes must never panic Unpack, and whatever Unpack accepts must fail
+# Pack or survive Pack→Unpack unchanged, names canonicalized).
+fuzz-dnswire:
+	$(GO) test -fuzz=FuzzUnpack -fuzztime=10s ./internal/dnswire
+	$(GO) test -fuzz=FuzzPackUnpack -fuzztime=10s ./internal/dnswire
 
 # Generate a world with shareable artifacts (pcap, zone files, CSVs).
 world:

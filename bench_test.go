@@ -1,31 +1,24 @@
 package cloudscope
 
-// The benchmark harness regenerates every table and figure of the paper
-// (one Benchmark per experiment, named after its number) plus the
-// ablation benches DESIGN.md calls out. Expensive pipeline stages
-// (world generation, DNS discovery, capture synthesis) run once and are
-// shared; each benchmark measures regenerating its result from them.
+// Go benchmarks that the perfbench harness does not cover: the
+// worker-pool scaling pass, the ablation sweeps DESIGN.md §5 calls
+// out, and the telemetry overhead check. Expensive pipeline stages
+// (world generation, DNS discovery) run once and are shared; each
+// benchmark measures its own pass over them.
 
 import (
-	"bytes"
 	"fmt"
 	"sync"
 	"testing"
 	"time"
 
-	"cloudscope/internal/capture"
 	"cloudscope/internal/cartography"
 	"cloudscope/internal/cloud"
-	"cloudscope/internal/core/backend"
-	"cloudscope/internal/core/classify"
+	"cloudscope/internal/core"
 	"cloudscope/internal/core/dataset"
 	"cloudscope/internal/core/patterns"
 	"cloudscope/internal/core/regions"
-	"cloudscope/internal/core/traffic"
-	"cloudscope/internal/core/wanperf"
-	"cloudscope/internal/ipranges"
 	"cloudscope/internal/parallel"
-	"cloudscope/internal/pcapio"
 	"cloudscope/internal/telemetry/runtimeprof"
 	"cloudscope/internal/wan"
 	"cloudscope/internal/wordlist"
@@ -43,275 +36,8 @@ func study(b *testing.B) *Study {
 		benchStudy = NewStudy(Config{Seed: 3, Domains: 1500, Vantages: 30, CaptureFlows: 4000, WANClients: 60})
 		benchStudy.Dataset()
 		benchStudy.Detection()
-		benchStudy.Capture()
 	})
 	return benchStudy
-}
-
-func BenchmarkTable1(b *testing.B) {
-	_, an := study(b).Capture()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = traffic.Table1(an)
-	}
-}
-
-func BenchmarkTable2(b *testing.B) {
-	_, an := study(b).Capture()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = traffic.Table2(an)
-	}
-}
-
-func BenchmarkTable3(b *testing.B) {
-	s := study(b)
-	ds := s.Dataset()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = classify.Classify(ds)
-	}
-}
-
-func BenchmarkTable4(b *testing.B) {
-	s := study(b)
-	ds := s.Dataset()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = classify.TopEC2Domains(ds, s, 10)
-	}
-}
-
-func BenchmarkTable5(b *testing.B) {
-	_, an := study(b).Capture()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = traffic.Table5(an, 15)
-	}
-}
-
-func BenchmarkTable6(b *testing.B) {
-	_, an := study(b).Capture()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = traffic.Table6(an, 10)
-	}
-}
-
-func BenchmarkTable7(b *testing.B) {
-	ds := study(b).Dataset()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = must(patterns.DetectAllPar(ds, parallel.Options{}))
-	}
-}
-
-func BenchmarkTable8(b *testing.B) {
-	s := study(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = runTable8(s)
-	}
-}
-
-func BenchmarkTable9(b *testing.B) {
-	s := study(b)
-	ds, det := s.Dataset(), s.Detection()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = must(regions.AnalyzePar(ds, det, parallel.Options{}))
-	}
-}
-
-func BenchmarkTable10(b *testing.B) {
-	s := study(b)
-	s.Regions()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = runTable10(s)
-	}
-}
-
-func BenchmarkTable11(b *testing.B) {
-	// A fresh cloud per iteration: the experiment launches probe and
-	// target instances, and unbounded iteration against one shared
-	// world would slowly drain its address space.
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		ec2 := cloud.NewEC2(int64(i))
-		_ = must(wanperf.IntraCloudRTTs(ec2, "ec2.us-east-1", wanperf.Options{Seed: int64(i), Par: parallel.Options{Workers: 1}}))
-	}
-}
-
-func BenchmarkTable12(b *testing.B) {
-	s := study(b)
-	z := s.Zones()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = z.Table12()
-	}
-}
-
-func BenchmarkTable13(b *testing.B) {
-	z := study(b).Zones()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = z.Table13()
-	}
-}
-
-func BenchmarkTable14(b *testing.B) {
-	z := study(b).Zones()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, _ = z.ZoneUsage()
-	}
-}
-
-func BenchmarkTable15(b *testing.B) {
-	s := study(b)
-	z := s.Zones()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = z.TopDomains(s, 10)
-	}
-}
-
-func BenchmarkTable16(b *testing.B) {
-	s := study(b)
-	m := s.Campaign().Model
-	zoneCounts := map[string]int{}
-	for _, r := range ipranges.EC2Regions {
-		zoneCounts[r] = s.World().EC2.ZoneCount(r)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = must(wanperf.ISPDiversity(m, zoneCounts, wanperf.Options{Seed: int64(i), Par: parallel.Options{Workers: 1}}))
-	}
-}
-
-func BenchmarkFigure3(b *testing.B) {
-	_, an := study(b).Capture()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = traffic.Figure3(an)
-	}
-}
-
-func BenchmarkFigure4(b *testing.B) {
-	det := study(b).Detection()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = det.VMInstanceCounts()
-		_ = det.ELBInstanceCounts()
-	}
-}
-
-func BenchmarkFigure5(b *testing.B) {
-	s := study(b)
-	w := s.World()
-	ds := s.Dataset()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = must(patterns.AnalyzeNSPar(ds, w.Fabric, w.Registry, 20, nil, parallel.Options{}))
-	}
-}
-
-func BenchmarkFigure6(b *testing.B) {
-	reg := study(b).Regions()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = reg.RegionCountCDF(ipranges.EC2)
-		_ = reg.DomainAvgRegionCDF(ipranges.EC2)
-	}
-}
-
-func BenchmarkFigure7(b *testing.B) {
-	z := study(b).Zones()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = z.Figure7Points()
-	}
-}
-
-func BenchmarkFigure8(b *testing.B) {
-	z := study(b).Zones()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = z.ZonesPerSubdomain()
-		_ = z.AvgZonesPerDomain()
-	}
-}
-
-func BenchmarkFigure9(b *testing.B) {
-	c := study(b).Campaign()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = must(c.Matrix(wan.MetricThroughput, usRegions, 15))
-	}
-}
-
-func BenchmarkFigure10(b *testing.B) {
-	c := study(b).Campaign()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = must(c.Matrix(wan.MetricLatency, usRegions, 15))
-	}
-}
-
-func BenchmarkFigure11(b *testing.B) {
-	c := study(b).Campaign()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = must(c.TimeSeries("Boulder", usRegions))
-	}
-}
-
-func BenchmarkFigure12(b *testing.B) {
-	c := study(b).Campaign()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = must(c.OptimalK(wan.MetricLatency, 4))
-	}
-}
-
-// --- End-to-end pipeline stages ---------------------------------------
-
-func BenchmarkPipelineWorldGen(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_ = NewStudy(Config{Seed: int64(i + 10), Domains: 500, Vantages: 10, CaptureFlows: 500}).World()
-	}
-}
-
-func BenchmarkPipelineDiscovery(b *testing.B) {
-	w := study(b).World()
-	names := make([]string, 0, 300)
-	for _, d := range w.Domains[:300] {
-		names = append(names, d.Name)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = must(dataset.Build(dataset.Config{
-			Fabric: w.Fabric, Registry: w.Registry, Ranges: w.Ranges,
-			Domains: names, Vantages: 10,
-		}))
-	}
-}
-
-func BenchmarkPipelineCaptureGen(b *testing.B) {
-	w := study(b).World()
-	cfg := capture.DefaultConfig()
-	cfg.Flows = 1000
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cfg.Seed = int64(i)
-		var buf bytes.Buffer
-		g := capture.NewGenerator(cfg, w)
-		if _, err := g.Generate(pcapio.NewWriter(&buf, cfg.Snaplen)); err != nil {
-			b.Fatal(err)
-		}
-		b.SetBytes(int64(buf.Len()))
-	}
 }
 
 // --- Worker-pool scaling -----------------------------------------------
@@ -356,12 +82,11 @@ func BenchmarkPipelineWorkers(b *testing.B) {
 			opt := parallel.Options{Workers: workers}
 			acct := ec2.NewAccount(fmt.Sprintf("pipeworkers-%d", workers))
 			campaign.Par = opt
-			campaign.Model.Par = opt
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				d := must(patterns.DetectAllPar(ds, opt))
 				_ = must(regions.AnalyzePar(ds, d, opt))
-				_ = must(cartography.IdentifyByLatency(ec2, acct, targets, latCfg, cartography.Options{Seed: int64(i), Par: opt}))
+				_ = must(cartography.IdentifyByLatency(ec2, acct, targets, latCfg, core.Options{Seed: int64(i), Par: opt}))
 				_ = must(campaign.Matrix(wan.MetricLatency, usRegions, 0))
 			}
 		})
@@ -383,7 +108,7 @@ func BenchmarkAblationZoneThreshold(b *testing.B) {
 			acct := ec2.NewAccount(fmt.Sprintf("ablation-%d", int(tMs*10)))
 			var unknownRate float64
 			for i := 0; i < b.N; i++ {
-				res := must(cartography.IdentifyByLatency(ec2, acct, targets, cfg, cartography.Options{Seed: int64(i), Par: parallel.Options{}}))
+				res := must(cartography.IdentifyByLatency(ec2, acct, targets, cfg, core.Options{Seed: int64(i), Par: parallel.Options{}}))
 				var unknown, responding int
 				for _, rr := range res {
 					unknown += rr.Unknown
@@ -502,8 +227,8 @@ func BenchmarkAblationCartographyDensity(b *testing.B) {
 					targets = append(targets, ec2.Launch("ec2.us-east-1", j%3, "m1.small", cloud.KindVM))
 				}
 				ref := ec2.NewAccount(fmt.Sprintf("dens-%d-%d", perZone, i))
-				samples := must(cartography.SampleAccounts(ec2, ref, 3, perZone, cartography.Options{Seed: int64(i), Par: parallel.Options{Workers: 1}}))
-				pm := must(cartography.MergeAccounts(samples, "", cartography.Options{Par: parallel.Options{Workers: 1}}))
+				samples := must(cartography.SampleAccounts(ec2, ref, 3, perZone, core.Options{Seed: int64(i), Par: parallel.Options{Workers: 1}}))
+				pm := must(cartography.MergeAccounts(samples, "", core.Options{Par: parallel.Options{Workers: 1}}))
 				hit := 0
 				for _, t := range targets {
 					if _, ok := pm.Identify(t.Region, t.InternalIP); ok {
@@ -514,42 +239,6 @@ func BenchmarkAblationCartographyDensity(b *testing.B) {
 			}
 			b.ReportMetric(100*covered, "%coverage")
 		})
-	}
-}
-
-// --- Extension experiments ---------------------------------------------
-
-func BenchmarkExtensionBackend(b *testing.B) {
-	w := study(b).World()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = backend.Analyze(w)
-	}
-}
-
-func BenchmarkExtensionCompression(b *testing.B) {
-	_, an := study(b).Capture()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = traffic.EstimateCompression(an)
-	}
-}
-
-func BenchmarkExtensionDurations(b *testing.B) {
-	_, an := study(b).Capture()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = traffic.Durations(an, ipranges.EC2, capture.KindHTTPS, false)
-	}
-}
-
-func BenchmarkExtensionOutage(b *testing.B) {
-	s := study(b)
-	reg := s.Regions()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = reg.RegionOutages()
-		_, _ = reg.HeadlineImpact("ec2.us-east-1", s.Cfg.Domains, len(s.World().CloudDomains))
 	}
 }
 

@@ -8,6 +8,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"cloudscope/internal/core/wanperf"
+	"cloudscope/internal/wan"
 )
 
 // countdownCtx is a context that passes its first k Err checks and
@@ -122,4 +125,51 @@ func TestZonesContextCancelMidBuild(t *testing.T) {
 			}
 			return fmt.Sprintf("%x", sha256.Sum256([]byte(b.String())))
 		})
+}
+
+// TestCampaignCancelMidBuild cancels the context of a campaign handed
+// out by CampaignContext, at Workers 1 and 4: every fanned-out method —
+// the subset searches and the outage simulation included — must return
+// context.Canceled without panicking, and a campaign retried under
+// context.Background() must answer exactly as an uncancelled Study's.
+func TestCampaignCancelMidBuild(t *testing.T) {
+	methods := []struct {
+		name string
+		run  func(*wanperf.Campaign) (any, error)
+	}{
+		{"OptimalK", func(c *wanperf.Campaign) (any, error) { return c.OptimalK(wan.MetricLatency, 3) }},
+		{"GreedyK", func(c *wanperf.Campaign) (any, error) { return c.GreedyK(wan.MetricLatency, 3) }},
+		{"Outages", func(c *wanperf.Campaign) (any, error) { return c.Outages(3, 20) }},
+	}
+	for _, workers := range []int{1, 4} {
+		ref := NewStudy(cancelConfig(workers)).Campaign()
+		s := NewStudy(cancelConfig(workers))
+		ctx, cancel := context.WithCancel(context.Background())
+		camp, err := s.CampaignContext(ctx)
+		if err != nil {
+			t.Fatalf("workers=%d: CampaignContext: %v", workers, err)
+		}
+		cancel()
+		retry, err := s.CampaignContext(context.Background())
+		if err != nil {
+			t.Fatalf("workers=%d: retry CampaignContext: %v", workers, err)
+		}
+		for _, m := range methods {
+			err := callNoPanic(t, func() error { _, err := m.run(camp); return err })
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("workers=%d: cancelled %s: err = %v, want context.Canceled", workers, m.name, err)
+			}
+			want, err := m.run(ref)
+			if err != nil {
+				t.Fatalf("workers=%d: uncancelled %s: %v", workers, m.name, err)
+			}
+			got, err := m.run(retry)
+			if err != nil {
+				t.Fatalf("workers=%d: retried %s: %v", workers, m.name, err)
+			}
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("workers=%d: retried %s = %v, uncancelled %v", workers, m.name, got, want)
+			}
+		}
+	}
 }

@@ -31,6 +31,7 @@ import (
 	"cloudscope/internal/chaos"
 	"cloudscope/internal/chaos/trace"
 	"cloudscope/internal/cloud"
+	"cloudscope/internal/core"
 	"cloudscope/internal/core/classify"
 	"cloudscope/internal/core/dataset"
 	"cloudscope/internal/core/patterns"
@@ -381,25 +382,23 @@ func BisectFaultTrace(cfg Config, tr *trace.Trace, pred func(*Study) bool) (*tra
 // abandoned. Nil with NoTelemetry; empty until stages run.
 func (s *Study) Completeness() *telemetry.Completeness { return s.tel.Completeness() }
 
-// Par builds the fan-out options a pipeline stage should run with: the
-// study's worker bound plus that stage's parallel.<stage>.* instruments
-// (inert when telemetry is off). Use it to run the measurement
-// libraries' options-struct entry points (wanperf.Options.Par,
-// cartography.Options.Par, zones.Config.Par) under a study's worker
-// budget and metrics; results are bit-identical at every worker count.
-func (s *Study) Par(stage string) parallel.Options {
-	return parallel.Options{
-		Workers: s.Cfg.Workers,
-		Metrics: parallel.NewMetrics(s.tel.Registry(), stage).WithSpans(s.tel.Tracer()),
+// opts builds the run context a pipeline stage runs with: the study's
+// seed, fault engine and completeness sink, and a fan-out of the
+// study's worker bound with that stage's parallel.<stage>.* instruments
+// (inert when telemetry is off), bound to ctx so the fan-out aborts
+// between shards once ctx is cancelled. Every stage build reads its
+// options here; results are bit-identical at every worker count.
+func (s *Study) opts(ctx context.Context, stage string) core.Options {
+	return core.Options{
+		Seed: s.Cfg.Seed,
+		Par: parallel.Options{
+			Workers: s.Cfg.Workers,
+			Metrics: parallel.NewMetrics(s.tel.Registry(), stage).WithSpans(s.tel.Tracer()),
+			Ctx:     ctx,
+		},
+		Chaos:        s.eng,
+		Completeness: s.tel.Completeness(),
 	}
-}
-
-// parCtx is Par bound to a request context: the stage's fan-out aborts
-// between shards once ctx is cancelled.
-func (s *Study) parCtx(ctx context.Context, stage string) parallel.Options {
-	opt := s.Par(stage)
-	opt.Ctx = ctx
-	return opt
 }
 
 // Telemetry returns the study's observability handle: the metric
@@ -418,7 +417,7 @@ func (s *Study) WorldContext(ctx context.Context) (*deploy.World, error) {
 		defer s.tel.StartSpan("study/world").End()
 		wcfg := deploy.DefaultConfig().Scaled(s.Cfg.Domains)
 		wcfg.Seed = s.Cfg.Seed
-		wcfg.Par = s.parCtx(ctx, "world")
+		wcfg.Par = s.opts(ctx, "world").Par
 		w, err := deploy.Generate(wcfg)
 		if err != nil {
 			return nil, err
@@ -452,23 +451,22 @@ func (s *Study) DatasetContext(ctx context.Context) (*dataset.Dataset, error) {
 		for _, d := range w.Domains {
 			names = append(names, d.Name)
 		}
+		opt := s.opts(ctx, "dataset")
 		dcfg := dataset.Config{
 			Fabric:       w.Fabric,
 			Registry:     w.Registry,
 			Ranges:       w.Ranges,
 			Domains:      names,
 			Vantages:     s.Cfg.Vantages,
+			Par:          opt.Par,
 			Metrics:      s.dnsMetrics,
-			Workers:      s.Cfg.Workers,
-			Ctx:          ctx,
-			ParMetrics:   parallel.NewMetrics(s.tel.Registry(), "dataset").WithSpans(s.tel.Tracer()),
-			Completeness: s.tel.Completeness(),
+			Chaos:        opt.Chaos,
+			Completeness: opt.Completeness,
 		}
 		if s.eng != nil {
 			// Under chaos the pipeline hardens: retries with backoff,
 			// a generous per-domain budget so pathological domains
 			// cannot stall the crawl, and a per-vantage breaker.
-			dcfg.Chaos = s.eng
 			dcfg.Backoff = dnssrv.Backoff{MaxAttempts: 6, Base: 100 * time.Millisecond, Max: 2 * time.Second}
 			dcfg.MaxQueriesPerDomain = 4096
 			dcfg.DomainDeadline = 10 * time.Minute
@@ -498,7 +496,7 @@ func (s *Study) DetectionContext(ctx context.Context) (*patterns.Result, error) 
 			return nil, err
 		}
 		defer s.tel.StartSpan("study/detect").End()
-		return patterns.DetectAllPar(ds, s.parCtx(ctx, "detect"))
+		return patterns.DetectAllPar(ds, s.opts(ctx, "detect").Par)
 	})
 }
 
@@ -532,7 +530,7 @@ func (s *Study) RegionsContext(ctx context.Context) (*regions.Analysis, error) {
 			return nil, err
 		}
 		defer s.tel.StartSpan("study/regions").End()
-		return regions.AnalyzePar(ds, det, s.parCtx(ctx, "regions"))
+		return regions.AnalyzePar(ds, det, s.opts(ctx, "regions").Par)
 	})
 }
 
@@ -556,10 +554,7 @@ func (s *Study) ZonesContext(ctx context.Context) (*zones.Study, error) {
 		}
 		defer s.tel.StartSpan("study/zones").End()
 		cfg := zones.DefaultConfig()
-		cfg.Seed = s.Cfg.Seed
-		cfg.Par = s.parCtx(ctx, "zones")
-		cfg.Chaos = s.eng
-		cfg.Completeness = s.tel.Completeness()
+		cfg.Options = s.opts(ctx, "zones")
 		return zones.Run(ds, det, w.EC2, cfg)
 	})
 }
@@ -581,7 +576,7 @@ func (s *Study) NameServersContext(ctx context.Context) (*patterns.NSAnalysis, e
 			return nil, err
 		}
 		defer s.tel.StartSpan("study/nameservers").End()
-		return patterns.AnalyzeNSPar(ds, w.Fabric, w.Registry, 50, s.dnsMetrics, s.parCtx(ctx, "nameservers"))
+		return patterns.AnalyzeNSPar(ds, w.Fabric, w.Registry, 50, s.dnsMetrics, s.opts(ctx, "nameservers").Par)
 	})
 }
 
@@ -602,10 +597,8 @@ func (s *Study) buildCapture() (captureResult, error) {
 	if err != nil {
 		return captureResult{}, err
 	}
-	an, err := capture.AnalyzeOpts(&buf, w.Ranges, capture.AnalyzeOptions{
-		Par:          s.Par("capture_analyze"),
-		Completeness: s.tel.Completeness(),
-	})
+	opt := s.opts(context.Background(), "capture_analyze")
+	an, err := capture.AnalyzeOpts(&buf, w.Ranges, capture.AnalyzeOptions{Par: opt.Par, Completeness: opt.Completeness})
 	if err != nil {
 		return captureResult{}, err
 	}
@@ -615,11 +608,12 @@ func (s *Study) buildCapture() (captureResult, error) {
 // captureConfig is the capture generator's config under the study's
 // seed, sizing, worker budget and fault engine.
 func (s *Study) captureConfig() capture.Config {
+	opt := s.opts(context.Background(), "capture")
 	ccfg := capture.DefaultConfig()
-	ccfg.Seed = s.Cfg.Seed
+	ccfg.Seed = opt.Seed
 	ccfg.Flows = s.Cfg.CaptureFlows
-	ccfg.Par = s.Par("capture")
-	ccfg.Chaos = s.eng
+	ccfg.Par = opt.Par
+	ccfg.Chaos = opt.Chaos
 	return ccfg
 }
 
@@ -640,11 +634,9 @@ func (s *Study) Campaign() *wanperf.Campaign {
 
 // CampaignContext is Campaign under a cancellable context: the
 // returned value shares the memoized campaign's model and seeding but
-// carries its own fan-out options bound to ctx, so its Matrix and
-// TimeSeries stop between shards and return ctx's error once the
-// request is cancelled. OptimalK, GreedyK and Outages run on the
-// shared *wan.Model, whose Par carries no context, so they always run
-// to completion. The memoized campaign itself stays context-free.
+// carries its own fan-out options bound to ctx, so every campaign
+// method stops between shards and returns ctx's error once the request
+// is cancelled. The memoized campaign itself stays context-free.
 func (s *Study) CampaignContext(ctx context.Context) (*wanperf.Campaign, error) {
 	c, err := s.campaignBase(ctx)
 	if err != nil {
@@ -659,14 +651,14 @@ func (s *Study) campaignBase(ctx context.Context) (*wanperf.Campaign, error) {
 	return s.campaign.get(ctx, func() (*wanperf.Campaign, error) {
 		defer s.tel.StartSpan("study/wanperf").End()
 		c := wanperf.NewCampaign(s.Cfg.Seed, s.Cfg.WANClients, ipranges.EC2Regions)
-		c.Par = s.Par("wanperf")
-		c.Model.Par = s.Par("wanperf")
+		c.Options = s.opts(context.Background(), "wanperf")
 		if s.tel != nil {
 			c.Model.SetMetrics(wan.NewMetrics(s.tel.Registry()))
 		}
-		if s.eng != nil {
-			c.Chaos = s.eng
-			c.Completeness = s.tel.Completeness()
+		if s.eng == nil {
+			// A fault-free campaign books no probe accounting.
+			c.Completeness = nil
+		} else {
 			// Regional brownouts reach the WAN model as extra path
 			// delay; the fault phase is the campaign-time fraction, a
 			// pure function of t.

@@ -9,6 +9,7 @@ import (
 
 	"cloudscope/internal/cartography"
 	"cloudscope/internal/cloud"
+	"cloudscope/internal/core"
 )
 
 func main() {
@@ -26,7 +27,7 @@ func main() {
 
 	// Technique 1: address proximity. Sample instances under several
 	// accounts, merge by /16 co-occurrence.
-	opt := cartography.Options{Seed: 1}
+	opt := core.Options{Seed: 1}
 	samples, err := cartography.SampleAccounts(ec2, ref, 4, 6, opt)
 	if err != nil {
 		log.Fatal(err)

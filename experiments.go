@@ -1,6 +1,7 @@
 package cloudscope
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -185,12 +186,7 @@ func runTable10(s *Study) string {
 }
 
 func runTable11(s *Study) string {
-	rows := must(wanperf.IntraCloudRTTs(s.World().EC2, "ec2.us-east-1", wanperf.Options{
-		Seed:         s.Cfg.Seed,
-		Par:          s.Par("rtt"),
-		Chaos:        s.eng,
-		Completeness: s.tel.Completeness(),
-	}))
+	rows := must(wanperf.IntraCloudRTTs(s.World().EC2, "ec2.us-east-1", s.opts(context.Background(), "rtt")))
 	t := &stats.Table{
 		Title:  "Table 11: RTTs (least / median, ms) from a us-east-1a micro instance",
 		Header: []string{"Instance type", "Zone", "Min (ms)", "Median (ms)"},
@@ -269,13 +265,7 @@ func runTable16(s *Study) string {
 	// The paper's traceroute leg used 200 PlanetLab nodes (Figure 2) —
 	// more than the 80 used for latency/throughput probing.
 	m := wan.New(s.Cfg.Seed, 200, ipranges.EC2Regions)
-	m.Par = s.Par("isp")
-	rows := must(wanperf.ISPDiversity(m, zoneCounts, wanperf.Options{
-		Seed:         s.Cfg.Seed,
-		Par:          s.Par("isp"),
-		Chaos:        s.eng,
-		Completeness: s.tel.Completeness(),
-	}))
+	rows := must(wanperf.ISPDiversity(m, zoneCounts, s.opts(context.Background(), "isp")))
 	t := &stats.Table{
 		Title:  "Table 16: downstream ISPs per region and zone",
 		Header: []string{"Region", "AZ1", "AZ2", "AZ3", "top-ISP route share"},

@@ -19,36 +19,13 @@ import (
 	"sort"
 	"time"
 
-	"cloudscope/internal/chaos"
 	"cloudscope/internal/cloud"
+	"cloudscope/internal/core"
 	"cloudscope/internal/netaddr"
 	"cloudscope/internal/parallel"
 	"cloudscope/internal/telemetry"
 	"cloudscope/internal/xrand"
 )
-
-// Options bundles the cross-cutting run parameters every cartography
-// experiment takes: the seed its probe streams split from, the worker
-// fan-out, and the optional fault-injection handles. The zero value is
-// a bare fault-free run (Par's zero value fans out to GOMAXPROCS; set
-// Par.Workers to 1 to force the sequential path). Inside a Study,
-// build Options from the study's fields: Options{Seed: s.Cfg.Seed,
-// Par: s.Par("zones"), Chaos: s.Chaos(), Completeness:
-// s.Completeness()}.
-type Options struct {
-	// Seed roots the experiment's deterministic probe streams.
-	Seed int64
-	// Par bounds and instruments the worker fan-out; results are
-	// bit-identical at every worker count. An experiment returns an
-	// error only when a worker panics or Par.Ctx is cancelled.
-	Par parallel.Options
-	// Chaos, when set, injects faults into the experiment's probes and
-	// launches.
-	Chaos *chaos.Engine
-	// Completeness, when set, receives the experiment's per-unit probe
-	// accounting.
-	Completeness *telemetry.Completeness
-}
 
 // LatencyConfig parameterizes the latency method.
 type LatencyConfig struct {
@@ -67,19 +44,6 @@ type LatencyConfig struct {
 	// to inflate even minimum RTTs past useful thresholds — the noise
 	// source behind Table 12's 10–30% unknown rates.
 	BusyFraction float64
-	// Chaos, when set, injects faults: region-scoped loss makes targets
-	// unreachable and region-scoped brownouts inflate probe RTTs
-	// (pushing more verdicts to "unknown" without ever flipping one).
-	//
-	// Deprecated: set Options.Chaos instead; it fills this field when
-	// unset.
-	Chaos *chaos.Engine
-	// Completeness, when set, receives per-region probe accounting under
-	// stage "cartography/latency".
-	//
-	// Deprecated: set Options.Completeness instead; it fills this field
-	// when unset.
-	Completeness *telemetry.Completeness
 }
 
 // DefaultLatencyConfig mirrors the paper: T = 1.1 ms, 10 pings, 5
@@ -138,16 +102,13 @@ type zoneProbes struct {
 // the expensive part — shards across opt.Par's workers, each shard
 // drawing from its own stream split from opt.Seed by shard index. The
 // shard layout depends only on the target count, so results are
-// bit-identical at every worker count and on every machine. opt.Chaos
-// and opt.Completeness fill cfg's equivalents when those are unset.
-func IdentifyByLatency(c *cloud.Cloud, acct *cloud.Account, targets []*cloud.Instance, cfg LatencyConfig, opt Options) (map[string]*LatencyRegionResult, error) {
-	seed := opt.Seed
-	if cfg.Chaos == nil {
-		cfg.Chaos = opt.Chaos
-	}
-	if cfg.Completeness == nil {
-		cfg.Completeness = opt.Completeness
-	}
+// bit-identical at every worker count and on every machine. Under
+// opt.Chaos, region-scoped loss makes targets unreachable and
+// region-scoped brownouts inflate probe RTTs (pushing more verdicts to
+// "unknown" without ever flipping one); per-region probe accounting
+// lands in opt.Completeness under stage "cartography/latency".
+func IdentifyByLatency(c *cloud.Cloud, acct *cloud.Account, targets []*cloud.Instance, cfg LatencyConfig, opt core.Options) (map[string]*LatencyRegionResult, error) {
+	seed, eng := opt.Seed, opt.Chaos
 	byRegion := map[string][]*cloud.Instance{}
 	var regionOrder []string
 	for _, t := range targets {
@@ -202,14 +163,14 @@ func IdentifyByLatency(c *cloud.Cloud, acct *cloud.Account, targets []*cloud.Ins
 		rng := xrand.SplitSeeded(seed, fmt.Sprintf("cartography/latency/shard%d", sh.Index))
 		for i := sh.Lo; i < sh.Hi; i++ {
 			phase := float64(i) / float64(len(work))
-			if cfg.Chaos.ProbeLost(work[i].region, work[i].target.ID, phase) {
+			if eng.ProbeLost(work[i].region, work[i].target.ID, phase) {
 				outs[i] = outcome{chaosLost: true}
 				continue
 			}
 			if rng.Bool(0.02) {
 				continue // unresponsive, like filtered hosts in the wild
 			}
-			extraMs := cfg.Chaos.RegionExtraMs(work[i].region, phase)
+			extraMs := eng.RegionExtraMs(work[i].region, phase)
 			outs[i] = outcome{
 				responding: true,
 				zone:       identifyOne(c, rng, probesOf[work[i].region], work[i].target, cfg, extraMs),
@@ -255,7 +216,7 @@ func IdentifyByLatency(c *cloud.Cloud, acct *cloud.Account, targets []*cloud.Ins
 	}
 	for _, region := range regionOrder {
 		if cc := comp[region]; cc != nil {
-			cfg.Completeness.Merge("cartography/latency", region, *cc)
+			opt.Completeness.Merge("cartography/latency", region, *cc)
 		}
 	}
 	return results, nil
@@ -337,7 +298,7 @@ type Sample struct {
 // at that point of the campaign are skipped (the paper's accounts hit
 // API throttles and closures mid-campaign), and per-account accounting
 // lands in opt.Completeness under stage "cartography/sample".
-func SampleAccounts(c *cloud.Cloud, ref *cloud.Account, nExtra, perZone int, opt Options) ([]Sample, error) {
+func SampleAccounts(c *cloud.Cloud, ref *cloud.Account, nExtra, perZone int, opt core.Options) ([]Sample, error) {
 	eng, comp := opt.Chaos, opt.Completeness
 	accounts := []*cloud.Account{ref}
 	for ai := 0; ai < nExtra; ai++ {
@@ -455,7 +416,7 @@ type regionMerge struct {
 // merge independently over the sorted region list, and retained samples
 // are sorted — so shuffling sample arrival order (or the worker count)
 // cannot change the map.
-func MergeAccounts(samples []Sample, ref string, opt Options) (*ProximityMap, error) {
+func MergeAccounts(samples []Sample, ref string, opt core.Options) (*ProximityMap, error) {
 	acc := NewMergeAccumulator()
 	acc.Add(samples...)
 	return acc.Finish(ref, opt)
@@ -526,7 +487,7 @@ func (a *MergeAccumulator) Add(samples ...Sample) {
 
 // Finish canonicalizes the accumulated evidence and builds the
 // ProximityMap. The accumulator must not be Added to afterwards.
-func (a *MergeAccumulator) Finish(ref string, opt Options) (*ProximityMap, error) {
+func (a *MergeAccumulator) Finish(ref string, opt core.Options) (*ProximityMap, error) {
 	if a.n == 0 {
 		return &ProximityMap{ZoneOf16: map[string]map[netaddr.IP]int{}, Permutations: map[string]map[string][]int{}}, nil
 	}

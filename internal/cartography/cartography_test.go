@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"cloudscope/internal/cloud"
+	"cloudscope/internal/core"
 	"cloudscope/internal/parallel"
 )
 
@@ -27,7 +28,7 @@ func TestLatencyMethodUSEast(t *testing.T) {
 	c := cloud.NewEC2(21)
 	acct := c.NewAccount("probe-acct")
 	targets := launchTargets(c, "ec2.us-east-1", 300)
-	res := must(IdentifyByLatency(c, acct, targets, DefaultLatencyConfig(), Options{Seed: 1, Par: parallel.Options{Workers: 1}}))
+	res := must(IdentifyByLatency(c, acct, targets, DefaultLatencyConfig(), core.Options{Seed: 1, Par: parallel.Options{Workers: 1}}))
 	rr := res["ec2.us-east-1"]
 	if rr == nil || rr.Targets != 300 {
 		t.Fatalf("result: %+v", rr)
@@ -59,7 +60,7 @@ func TestLatencyMethodEuWestErrs(t *testing.T) {
 	c := cloud.NewEC2(22)
 	acct := c.NewAccount("probe-acct")
 	targets := launchTargets(c, "ec2.eu-west-1", 300)
-	res := must(IdentifyByLatency(c, acct, targets, DefaultLatencyConfig(), Options{Seed: 2, Par: parallel.Options{Workers: 1}}))
+	res := must(IdentifyByLatency(c, acct, targets, DefaultLatencyConfig(), core.Options{Seed: 2, Par: parallel.Options{Workers: 1}}))
 	rr := res["ec2.eu-west-1"]
 	wrong, known := 0, 0
 	for _, o := range rr.Outcomes {
@@ -82,7 +83,7 @@ func TestLatencyMissingProbeZone(t *testing.T) {
 	c := cloud.NewEC2(23)
 	acct := c.NewAccount("probe-acct")
 	targets := launchTargets(c, "ec2.ap-northeast-1", 200)
-	res := must(IdentifyByLatency(c, acct, targets, DefaultLatencyConfig(), Options{Seed: 3, Par: parallel.Options{Workers: 1}}))
+	res := must(IdentifyByLatency(c, acct, targets, DefaultLatencyConfig(), core.Options{Seed: 3, Par: parallel.Options{Workers: 1}}))
 	rr := res["ec2.ap-northeast-1"]
 	// One label has no probes: targets in that true zone are unknowable.
 	if rate := rr.UnknownRate(); rate < 0.35 {
@@ -96,7 +97,7 @@ func TestLatencyMissingProbeZone(t *testing.T) {
 func TestSampleAccounts(t *testing.T) {
 	c := cloud.NewEC2(24)
 	ref := c.NewAccount("ref")
-	samples := must(SampleAccounts(c, ref, 2, 2, Options{Seed: 5, Par: parallel.Options{Workers: 1}}))
+	samples := must(SampleAccounts(c, ref, 2, 2, core.Options{Seed: 5, Par: parallel.Options{Workers: 1}}))
 	// 3 accounts × sum of zones (3+2+3+3+2+2+2+2=19) × 2.
 	if len(samples) != 3*19*2 {
 		t.Fatalf("samples = %d", len(samples))
@@ -114,8 +115,8 @@ func TestSampleAccounts(t *testing.T) {
 func TestMergeAccountsRecoversZones(t *testing.T) {
 	c := cloud.NewEC2(25)
 	ref := c.NewAccount("ref")
-	samples := must(SampleAccounts(c, ref, 5, 4, Options{Seed: 6, Par: parallel.Options{Workers: 1}}))
-	pm := must(MergeAccounts(samples, "", Options{Par: parallel.Options{Workers: 1}}))
+	samples := must(SampleAccounts(c, ref, 5, 4, core.Options{Seed: 6, Par: parallel.Options{Workers: 1}}))
+	pm := must(MergeAccounts(samples, "", core.Options{Par: parallel.Options{Workers: 1}}))
 	if pm.Reference != "ref" {
 		t.Fatalf("reference = %q", pm.Reference)
 	}
@@ -149,8 +150,8 @@ func TestMergeAccountsRecoversZones(t *testing.T) {
 func TestMergePermutationsAreBijections(t *testing.T) {
 	c := cloud.NewEC2(26)
 	ref := c.NewAccount("ref")
-	samples := must(SampleAccounts(c, ref, 4, 3, Options{Seed: 7, Par: parallel.Options{Workers: 1}}))
-	pm := must(MergeAccounts(samples, "", Options{Par: parallel.Options{Workers: 1}}))
+	samples := must(SampleAccounts(c, ref, 4, 3, core.Options{Seed: 7, Par: parallel.Options{Workers: 1}}))
+	pm := must(MergeAccounts(samples, "", core.Options{Par: parallel.Options{Workers: 1}}))
 	if len(pm.Permutations) == 0 {
 		t.Fatal("no permutations recorded")
 	}
@@ -172,8 +173,8 @@ func TestMergeRecoversTruePermutations(t *testing.T) {
 	// relative to the reference (up to zones with no shared /16s).
 	c := cloud.NewEC2(30)
 	ref := c.NewAccount("ref")
-	samples := must(SampleAccounts(c, ref, 3, 6, Options{Seed: 8, Par: parallel.Options{Workers: 1}}))
-	pm := must(MergeAccounts(samples, "", Options{Par: parallel.Options{Workers: 1}}))
+	samples := must(SampleAccounts(c, ref, 3, 6, core.Options{Seed: 8, Par: parallel.Options{Workers: 1}}))
+	pm := must(MergeAccounts(samples, "", core.Options{Par: parallel.Options{Workers: 1}}))
 	region := "ec2.us-east-1"
 	for acct, regions := range pm.Permutations {
 		perm := regions[region]
@@ -192,8 +193,8 @@ func TestMergeRecoversTruePermutations(t *testing.T) {
 func TestIndexGranularityTradeoff(t *testing.T) {
 	c := cloud.NewEC2(27)
 	ref := c.NewAccount("ref")
-	samples := must(SampleAccounts(c, ref, 3, 4, Options{Seed: 8, Par: parallel.Options{Workers: 1}}))
-	pm := must(MergeAccounts(samples, "", Options{Par: parallel.Options{Workers: 1}}))
+	samples := must(SampleAccounts(c, ref, 3, 4, core.Options{Seed: 8, Par: parallel.Options{Workers: 1}}))
+	pm := must(MergeAccounts(samples, "", core.Options{Par: parallel.Options{Workers: 1}}))
 	region := "ec2.us-east-1"
 	targets := launchTargets(c, region, 150)
 
@@ -247,9 +248,9 @@ func TestCombinedCoverage(t *testing.T) {
 	for _, region := range []string{"ec2.us-east-1", "ec2.us-west-2", "ec2.eu-west-1"} {
 		targets = append(targets, launchTargets(c, region, 150)...)
 	}
-	samples := must(SampleAccounts(c, ref, 4, 4, Options{Seed: 9, Par: parallel.Options{Workers: 1}}))
-	pm := must(MergeAccounts(samples, "", Options{Par: parallel.Options{Workers: 1}}))
-	lat := must(IdentifyByLatency(c, ref, targets, DefaultLatencyConfig(), Options{Seed: 10, Par: parallel.Options{Workers: 1}}))
+	samples := must(SampleAccounts(c, ref, 4, 4, core.Options{Seed: 9, Par: parallel.Options{Workers: 1}}))
+	pm := must(MergeAccounts(samples, "", core.Options{Par: parallel.Options{Workers: 1}}))
+	lat := must(IdentifyByLatency(c, ref, targets, DefaultLatencyConfig(), core.Options{Seed: 10, Par: parallel.Options{Workers: 1}}))
 	comb := IdentifyCombined(targets, pm, lat)
 	if comb.Total != len(targets) {
 		t.Fatalf("total = %d", comb.Total)
@@ -292,9 +293,9 @@ func TestVeracityTable(t *testing.T) {
 	for _, region := range []string{"ec2.us-east-1", "ec2.eu-west-1", "ec2.us-west-1"} {
 		targets = append(targets, launchTargets(c, region, 200)...)
 	}
-	samples := must(SampleAccounts(c, ref, 4, 4, Options{Seed: 11, Par: parallel.Options{Workers: 1}}))
-	pm := must(MergeAccounts(samples, "", Options{Par: parallel.Options{Workers: 1}}))
-	lat := must(IdentifyByLatency(c, ref, targets, DefaultLatencyConfig(), Options{Seed: 12, Par: parallel.Options{Workers: 1}}))
+	samples := must(SampleAccounts(c, ref, 4, 4, core.Options{Seed: 11, Par: parallel.Options{Workers: 1}}))
+	pm := must(MergeAccounts(samples, "", core.Options{Par: parallel.Options{Workers: 1}}))
+	lat := must(IdentifyByLatency(c, ref, targets, DefaultLatencyConfig(), core.Options{Seed: 12, Par: parallel.Options{Workers: 1}}))
 	rows := Veracity(targets, pm, lat)
 	if rows[0].Region != "all" {
 		t.Fatalf("first row %q", rows[0].Region)

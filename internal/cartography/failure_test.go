@@ -8,6 +8,7 @@ import (
 
 	"cloudscope/internal/chaos"
 	"cloudscope/internal/cloud"
+	"cloudscope/internal/core"
 	"cloudscope/internal/parallel"
 	"cloudscope/internal/telemetry"
 )
@@ -62,7 +63,7 @@ func TestAccountOutageDuringSampling(t *testing.T) {
 	c := cloud.NewEC2(31)
 	ref := c.NewAccount("ref")
 	comp := telemetry.NewCompleteness()
-	samples := must(SampleAccounts(c, ref, 4, 3, Options{Seed: 5, Par: parallel.Options{Workers: 2}, Chaos: eng, Completeness: comp}))
+	samples := must(SampleAccounts(c, ref, 4, 3, core.Options{Seed: 5, Par: parallel.Options{Workers: 2}, Chaos: eng, Completeness: comp}))
 
 	st, ok := comp.Stage("cartography/sample")
 	if !ok {
@@ -86,7 +87,7 @@ func TestAccountOutageDuringSampling(t *testing.T) {
 	}
 	// The partial sample set still yields a proximity map anchored on
 	// the reference account.
-	pm := must(MergeAccounts(samples, ref.Name, Options{}))
+	pm := must(MergeAccounts(samples, ref.Name, core.Options{}))
 	if len(pm.ZoneOf16) == 0 {
 		t.Fatal("partial samples produced an empty proximity map")
 	}
@@ -105,14 +106,12 @@ func TestRegionalBrownoutLatencyProbes(t *testing.T) {
 	}
 
 	c0, a0, t0 := build()
-	baseline := must(IdentifyByLatency(c0, a0, t0, DefaultLatencyConfig(), Options{Seed: 1}))
+	baseline := must(IdentifyByLatency(c0, a0, t0, DefaultLatencyConfig(), core.Options{Seed: 1}))
 
 	sc := mustScenario(t, "brownout,region=us-east,add=50ms;loss,p=0.4,region=us-east")
 	c1, a1, t1 := build()
-	cfg := DefaultLatencyConfig()
-	cfg.Chaos = chaos.New(sc, 17)
-	cfg.Completeness = telemetry.NewCompleteness()
-	faulted := must(IdentifyByLatency(c1, a1, t1, cfg, Options{Seed: 1, Par: parallel.Options{Workers: 3}}))
+	comp := telemetry.NewCompleteness()
+	faulted := must(IdentifyByLatency(c1, a1, t1, DefaultLatencyConfig(), core.Options{Seed: 1, Par: parallel.Options{Workers: 3}, Chaos: chaos.New(sc, 17), Completeness: comp}))
 
 	// The unfaulted region is untouched, byte for byte.
 	if renderLat(map[string]*LatencyRegionResult{"ec2.eu-west-1": faulted["ec2.eu-west-1"]}) !=
@@ -129,7 +128,7 @@ func TestRegionalBrownoutLatencyProbes(t *testing.T) {
 	if fe.UnknownRate() <= be.UnknownRate() {
 		t.Fatalf("brownout did not raise unknown rate: %.3f vs %.3f", fe.UnknownRate(), be.UnknownRate())
 	}
-	st, ok := cfg.Completeness.Stage("cartography/latency")
+	st, ok := comp.Stage("cartography/latency")
 	if !ok {
 		t.Fatal("no cartography/latency stage recorded")
 	}
@@ -153,10 +152,8 @@ func TestCartographyChaosWorkerInvariant(t *testing.T) {
 		targets = append(targets, launchTargets(c, "ec2.eu-west-1", 150)...)
 		eng := chaos.New(sc, 7)
 		comp := telemetry.NewCompleteness()
-		cfg := DefaultLatencyConfig()
-		cfg.Chaos, cfg.Completeness = eng, comp
-		lat := must(IdentifyByLatency(c, acct, targets, cfg, Options{Seed: 1, Par: parallel.Options{Workers: workers}}))
-		samples := must(SampleAccounts(c, acct, 3, 2, Options{Seed: 5, Par: parallel.Options{Workers: workers}, Chaos: eng, Completeness: comp}))
+		lat := must(IdentifyByLatency(c, acct, targets, DefaultLatencyConfig(), core.Options{Seed: 1, Par: parallel.Options{Workers: workers}, Chaos: eng, Completeness: comp}))
+		samples := must(SampleAccounts(c, acct, 3, 2, core.Options{Seed: 5, Par: parallel.Options{Workers: workers}, Chaos: eng, Completeness: comp}))
 		return renderLat(lat), renderSamples(samples), comp.Report()
 	}
 	lat1, smp1, rep1 := run(1)

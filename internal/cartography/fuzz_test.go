@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"cloudscope/internal/cloud"
+	"cloudscope/internal/core"
 	"cloudscope/internal/parallel"
 	"cloudscope/internal/xrand"
 )
@@ -14,7 +15,7 @@ import (
 func fuzzSamples() []Sample {
 	c := cloud.NewEC2(31)
 	ref := c.NewAccount("fuzz-ref")
-	return must(SampleAccounts(c, ref, 3, 4, Options{Seed: 31, Par: parallel.Options{Workers: 1}}))
+	return must(SampleAccounts(c, ref, 3, 4, core.Options{Seed: 31, Par: parallel.Options{Workers: 1}}))
 }
 
 // pmEqual compares the externally observable state of two proximity
@@ -46,7 +47,7 @@ func pmEqual(t *testing.T, a, b *ProximityMap) {
 // worker count and shard layout.
 func FuzzMergeAccountsOrder(f *testing.F) {
 	samples := fuzzSamples()
-	golden := must(MergeAccounts(samples, "fuzz-ref", Options{Par: parallel.Options{Workers: 1}}))
+	golden := must(MergeAccounts(samples, "fuzz-ref", core.Options{Par: parallel.Options{Workers: 1}}))
 	f.Add(int64(1), uint8(1), uint8(0))
 	f.Add(int64(42), uint8(4), uint8(1))
 	f.Add(int64(-7), uint8(2), uint8(3))
@@ -57,7 +58,7 @@ func FuzzMergeAccountsOrder(f *testing.F) {
 			shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
 		})
 		opt := parallel.Options{Workers: int(workers%8) + 1, ShardSize: int(shardSize % 16)}
-		pmEqual(t, golden, must(MergeAccounts(shuffled, "fuzz-ref", Options{Par: opt})))
+		pmEqual(t, golden, must(MergeAccounts(shuffled, "fuzz-ref", core.Options{Par: opt})))
 	})
 }
 
@@ -66,7 +67,7 @@ func FuzzMergeAccountsOrder(f *testing.F) {
 // merge fan-out's stress test).
 func TestMergeAccountsArrivalOrderInvariant(t *testing.T) {
 	samples := fuzzSamples()
-	golden := must(MergeAccounts(samples, "fuzz-ref", Options{Par: parallel.Options{Workers: 1}}))
+	golden := must(MergeAccounts(samples, "fuzz-ref", core.Options{Par: parallel.Options{Workers: 1}}))
 	for _, shuffleSeed := range []int64{1, 2, 3, 99} {
 		shuffled := append([]Sample(nil), samples...)
 		rng := xrand.New(shuffleSeed)
@@ -74,7 +75,7 @@ func TestMergeAccountsArrivalOrderInvariant(t *testing.T) {
 			shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
 		})
 		for _, workers := range []int{1, 4} {
-			pmEqual(t, golden, must(MergeAccounts(shuffled, "fuzz-ref", Options{Par: parallel.Options{Workers: workers, ShardSize: 1}})))
+			pmEqual(t, golden, must(MergeAccounts(shuffled, "fuzz-ref", core.Options{Par: parallel.Options{Workers: workers, ShardSize: 1}})))
 		}
 	}
 }
@@ -87,7 +88,7 @@ func TestSampleAccountsWorkerCountInvariant(t *testing.T) {
 	sample := func(workers int) []Sample {
 		c := cloud.NewEC2(32)
 		ref := c.NewAccount("inv-ref")
-		return must(SampleAccounts(c, ref, 3, 4, Options{Seed: 32, Par: parallel.Options{Workers: workers, ShardSize: 1}}))
+		return must(SampleAccounts(c, ref, 3, 4, core.Options{Seed: 32, Par: parallel.Options{Workers: workers, ShardSize: 1}}))
 	}
 	golden := sample(1)
 	for _, workers := range []int{2, 4} {

@@ -16,7 +16,6 @@
 package dataset
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"time"
@@ -128,18 +127,13 @@ type Config struct {
 	// Vantages is the number of distributed resolvers for the full
 	// re-resolution pass (200 in the paper).
 	Vantages int
-	// Workers bounds concurrent domain scans: 0 uses GOMAXPROCS, 1
-	// forces the sequential path. The dataset is identical at every
-	// setting — domains land in rank slots, brute-force resolvers are
-	// assigned by domain index, and the simulated clock sums probe time
-	// commutatively.
-	Workers int
-	// Ctx, when set, cancels the scan fan-out between shards; Build
-	// then returns the context error.
-	Ctx context.Context
-	// ParMetrics, when set, receives the scan fan-out's worker/shard
-	// gauges and queue-wait histogram (parallel.dataset.*).
-	ParMetrics *parallel.Metrics
+	// Par bounds, instruments and cancels the concurrent domain scans.
+	// The dataset is identical at every worker count and shard size —
+	// domains land in rank slots, brute-force resolvers are assigned
+	// by domain index, and the simulated clock sums probe time
+	// commutatively. Once Par.Ctx is cancelled the scan stops between
+	// shards and returns the context error.
+	Par parallel.Options
 	// Metrics, when set, is shared by every resolver the pipeline
 	// creates, aggregating query/rcode accounting across vantages.
 	Metrics *dnssrv.ResolverMetrics
@@ -209,7 +203,7 @@ func resolverPool(cfg Config, n int) []*dnssrv.Resolver {
 }
 
 // Build runs the full pipeline. It errors only when a scan worker
-// panics or cfg.Ctx is cancelled.
+// panics or cfg.Par.Ctx is cancelled.
 func Build(cfg Config) (*Dataset, error) {
 	cfg.normalize()
 	ds := &Dataset{
@@ -228,8 +222,7 @@ func Build(cfg Config) (*Dataset, error) {
 		queries int64
 	}
 	results := make([]domainResult, len(cfg.Domains))
-	opt := parallel.Options{Workers: cfg.Workers, Metrics: cfg.ParMetrics, Ctx: cfg.Ctx}
-	if err := parallel.Run(opt, len(cfg.Domains), func(sh parallel.Shard) error {
+	if err := parallel.Run(cfg.Par, len(cfg.Domains), func(sh parallel.Shard) error {
 		for i := sh.Lo; i < sh.Hi; i++ {
 			// Brute-force resolver assignment stays a function of the
 			// domain index, not the shard, so results match the legacy

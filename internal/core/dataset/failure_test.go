@@ -8,6 +8,7 @@ import (
 	"cloudscope/internal/chaos"
 	"cloudscope/internal/deploy"
 	"cloudscope/internal/dnssrv"
+	"cloudscope/internal/parallel"
 	"cloudscope/internal/telemetry"
 )
 
@@ -94,7 +95,7 @@ func buildFaulted(w *deploy.World, workers int, eng *chaos.Engine, comp *telemet
 	}
 	return must(Build(Config{
 		Fabric: w.Fabric, Registry: w.Registry, Ranges: w.Ranges,
-		Domains: names, Vantages: 8, Workers: workers,
+		Domains: names, Vantages: 8, Par: parallel.Options{Workers: workers},
 		Chaos:           eng,
 		Completeness:    comp,
 		Backoff:         dnssrv.Backoff{MaxAttempts: 4, Base: 50 * time.Millisecond, Max: time.Second},

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"cloudscope/internal/deploy"
+	"cloudscope/internal/parallel"
 )
 
 // freshWorld generates a small world per build: scan results embed
@@ -26,7 +27,7 @@ func buildWith(w *deploy.World, workers int) *Dataset {
 		Ranges:   w.Ranges,
 		Domains:  names,
 		Vantages: 8,
-		Workers:  workers,
+		Par:      parallel.Options{Workers: workers},
 	}))
 }
 

@@ -3,7 +3,6 @@ package dataset
 import (
 	"bufio"
 	"container/heap"
-	"context"
 	"fmt"
 	"io"
 	"os"
@@ -26,7 +25,6 @@ type StreamConfig struct {
 	Total int
 	// SpillDir is the directory per-chunk spill files are created
 	// under (inside a fresh temp subdirectory); "" uses os.TempDir().
-	Ctx      context.Context
 	SpillDir string
 }
 
@@ -80,10 +78,10 @@ func (b *StreamBuilder) Stats() Stats { return b.stats }
 // AddChunk scans the next len(names) domains of the ranked list (names
 // must continue exactly where the previous chunk stopped) and spills
 // their rendered partial dataset. Scans run in parallel under the
-// Config's Workers; the spill file is written sorted, so Finish can
-// stream-merge. On error (including cancellation via Ctx and worker
-// panics, which surface as *parallel.PanicError) the builder is closed
-// and its spill files are already removed.
+// Config's Par; the spill file is written sorted, so Finish can
+// stream-merge. On error (including cancellation via Par.Ctx and
+// worker panics, which surface as *parallel.PanicError) the builder is
+// closed and its spill files are already removed.
 func (b *StreamBuilder) AddChunk(names []string) error {
 	if b.dir == "" {
 		return fmt.Errorf("dataset: AddChunk on a closed builder")
@@ -102,8 +100,7 @@ func (b *StreamBuilder) AddChunk(names []string) error {
 	}
 	base := b.next
 	results := make([]domainResult, len(names))
-	opt := parallel.Options{Workers: b.cfg.Workers, Metrics: b.cfg.ParMetrics, Ctx: b.cfg.Ctx}
-	if err := parallel.RunAt(opt, base, len(names), func(sh parallel.Shard) error {
+	if err := parallel.RunAt(b.cfg.Par, base, len(names), func(sh parallel.Shard) error {
 		for i := sh.Lo; i < sh.Hi; i++ {
 			// Global index i out of Total: resolver assignment and
 			// chaos phase match the whole-list scan exactly.

@@ -30,9 +30,9 @@ func newTestStreamBuilder(t *testing.T, parent string, total int, ctx context.Co
 			Registry: world.Registry,
 			Ranges:   world.Ranges,
 			Vantages: 4,
+			Par:      parallel.Options{Ctx: ctx},
 		},
 		Total:    total,
-		Ctx:      ctx,
 		SpillDir: parent,
 	}
 	if nilRanges {

@@ -8,6 +8,7 @@ import (
 
 	"cloudscope/internal/chaos"
 	"cloudscope/internal/cloud"
+	"cloudscope/internal/core"
 	"cloudscope/internal/parallel"
 	"cloudscope/internal/telemetry"
 	"cloudscope/internal/wan"
@@ -31,14 +32,14 @@ func renderRTTRows(rows []RTTRow) string {
 // a measurement, never skew one, unless the brownout explicitly
 // inflates it.
 func TestRegionalBrownoutIntraCloudRTTs(t *testing.T) {
-	baseline := must(IntraCloudRTTs(cloud.NewEC2(41), "ec2.us-east-1", Options{Seed: 5}))
+	baseline := must(IntraCloudRTTs(cloud.NewEC2(41), "ec2.us-east-1", core.Options{Seed: 5}))
 
 	sc, err := chaos.Parse("loss,p=0.9,region=us-east,window=0.1-0.9")
 	if err != nil {
 		t.Fatal(err)
 	}
 	comp := telemetry.NewCompleteness()
-	faulted := must(IntraCloudRTTs(cloud.NewEC2(41), "ec2.us-east-1", Options{Seed: 5, Par: parallel.Options{Workers: 2}, Chaos: chaos.New(sc, 13), Completeness: comp}))
+	faulted := must(IntraCloudRTTs(cloud.NewEC2(41), "ec2.us-east-1", core.Options{Seed: 5, Par: parallel.Options{Workers: 2}, Chaos: chaos.New(sc, 13), Completeness: comp}))
 
 	if len(faulted) >= len(baseline) {
 		t.Fatalf("90%% probe loss dropped no rows: %d vs %d", len(faulted), len(baseline))
@@ -136,7 +137,8 @@ func TestVantageOutageMatrix(t *testing.T) {
 	}
 }
 
-// TestWanperfChaosWorkerInvariant: the faulted benchmarks are
+// TestWanperfChaosWorkerInvariant: the faulted benchmarks, and the
+// campaign's subset search and outage simulation on its Par, are
 // byte-identical at every worker count, completeness included.
 func TestWanperfChaosWorkerInvariant(t *testing.T) {
 	sc, err := chaos.Parse("loss,p=0.25,region=us-east,window=0.1-0.9;vantage-down,frac=0.3,window=0.2-0.8;brownout,region=us-east,add=30ms,window=0.3-0.7")
@@ -152,8 +154,10 @@ func TestWanperfChaosWorkerInvariant(t *testing.T) {
 		camp.Par = parallel.Options{Workers: workers}
 		camp.Chaos, camp.Completeness = eng, comp
 		cells := must(camp.Matrix(wan.MetricLatency, regions, 10))
-		rows := must(IntraCloudRTTs(cloud.NewEC2(43), "ec2.us-east-1", Options{Seed: 5, Par: parallel.Options{Workers: workers}, Chaos: eng, Completeness: comp}))
-		isp := must(ISPDiversity(camp.Model, map[string]int{"ec2.us-east-1": 3, "ec2.eu-west-1": 2}, Options{Seed: 7, Par: parallel.Options{Workers: workers}, Chaos: eng, Completeness: comp}))
+		rows := must(IntraCloudRTTs(cloud.NewEC2(43), "ec2.us-east-1", core.Options{Seed: 5, Par: parallel.Options{Workers: workers}, Chaos: eng, Completeness: comp}))
+		isp := must(ISPDiversity(camp.Model, map[string]int{"ec2.us-east-1": 3, "ec2.eu-west-1": 2}, core.Options{Seed: 7, Par: parallel.Options{Workers: workers}, Chaos: eng, Completeness: comp}))
+		best := must(camp.OptimalK(wan.MetricLatency, 2))
+		outages := must(camp.Outages(2, 30))
 		var b strings.Builder
 		for _, c := range cells {
 			fmt.Fprintf(&b, "%s %s %.6f %d\n", c.Client, c.Region, c.Mean, c.Samples)
@@ -162,6 +166,10 @@ func TestWanperfChaosWorkerInvariant(t *testing.T) {
 		for _, r := range isp {
 			fmt.Fprintf(&b, "%v\n", r)
 		}
+		for _, r := range best {
+			fmt.Fprintf(&b, "k=%d %v %.6f\n", r.K, r.Regions, r.Value)
+		}
+		fmt.Fprintf(&b, "outages %d %v\n", outages.Trials, outages.MeanUnreachable)
 		return b.String(), comp.Report()
 	}
 	out1, rep1 := run(1)

@@ -11,8 +11,8 @@ import (
 	"sort"
 	"time"
 
-	"cloudscope/internal/chaos"
 	"cloudscope/internal/cloud"
+	"cloudscope/internal/core"
 	"cloudscope/internal/geo"
 	"cloudscope/internal/parallel"
 	"cloudscope/internal/stats"
@@ -21,28 +21,6 @@ import (
 	"cloudscope/internal/xrand"
 )
 
-// Options bundles the cross-cutting run parameters every standalone
-// wanperf experiment takes: the seed its probe streams split from, the
-// worker fan-out, and the optional fault-injection handles. The zero
-// value is a bare sequential-or-parallel fault-free run (Par's zero
-// value fans out to GOMAXPROCS; set Par.Workers to 1 to force the
-// sequential path). Inside a Study, build Options from the study's
-// fields: Options{Seed: s.Cfg.Seed, Par: s.Par("rtt"), Chaos:
-// s.Chaos(), Completeness: s.Completeness()}.
-type Options struct {
-	// Seed roots the experiment's deterministic probe streams.
-	Seed int64
-	// Par bounds and instruments the worker fan-out; results are
-	// bit-identical at every worker count. An experiment returns an
-	// error only when a worker panics or Par.Ctx is cancelled.
-	Par parallel.Options
-	// Chaos, when set, injects faults into the experiment's probes.
-	Chaos *chaos.Engine
-	// Completeness, when set, receives the experiment's per-unit probe
-	// accounting.
-	Completeness *telemetry.Completeness
-}
-
 // Campaign bundles the §5 measurement setup: 80 PlanetLab clients, all
 // EC2 regions, probing every 15 minutes for three days.
 type Campaign struct {
@@ -50,22 +28,18 @@ type Campaign struct {
 	Start    time.Time
 	Interval time.Duration
 	Rounds   int
-	Seed     int64
-	// Par controls the campaign's measurement fan-out. Each client
-	// (and, in TimeSeries, each region) draws from its own
-	// seed-derived stream, so results are identical at every worker
-	// count. Matrix and TimeSeries return an error only when a worker
-	// panics or Par.Ctx is cancelled; OptimalK, GreedyK and Outages fan
-	// out over Model.Par instead.
-	Par parallel.Options
-	// Chaos, when set, injects faults: PlanetLab clients go dark for
-	// stretches of the campaign (vantage-down) and region-scoped
-	// loss/blackouts eat individual probes. Fault windows see the
-	// campaign's round fraction as their phase.
-	Chaos *chaos.Engine
+	// Options is the campaign's run context. Par controls every
+	// measurement fan-out: each client (and, in TimeSeries, each
+	// region; in Outages, each trial) draws from its own seed-derived
+	// stream, so results are identical at every worker count, and
+	// every method returns an error only when a worker panics or
+	// Par.Ctx is cancelled. Chaos, when set, injects faults:
+	// PlanetLab clients go dark for stretches of the campaign
+	// (vantage-down) and region-scoped loss/blackouts eat individual
+	// probes, with the campaign's round fraction as the fault phase.
 	// Completeness, when set, receives per-client probe accounting
 	// under stages "wanperf" (Matrix) and "wanperf/series".
-	Completeness *telemetry.Completeness
+	core.Options
 }
 
 // NewCampaign builds the paper's default campaign over regions.
@@ -75,7 +49,7 @@ func NewCampaign(seed int64, clients int, regions []string) *Campaign {
 		Start:    time.Date(2013, 4, 4, 0, 0, 0, 0, time.UTC),
 		Interval: 15 * time.Minute,
 		Rounds:   3 * 24 * 4, // three days at 15-minute rounds
-		Seed:     seed,
+		Options:  core.Options{Seed: seed},
 	}
 }
 
@@ -200,12 +174,12 @@ func (c *Campaign) TimeSeries(clientName string, regions []string) (map[string][
 
 // OptimalK runs Figure 12's exhaustive subset search.
 func (c *Campaign) OptimalK(metric wan.Metric, maxK int) ([]wan.OptimalKResult, error) {
-	return c.Model.OptimalK(metric, maxK, c.Rounds/4, c.Interval*4, c.Start, c.Seed)
+	return c.Model.OptimalK(metric, maxK, c.Rounds/4, c.Interval*4, c.Start, c.Seed, c.Par)
 }
 
 // GreedyK is the ablation comparator for OptimalK.
 func (c *Campaign) GreedyK(metric wan.Metric, maxK int) ([]wan.OptimalKResult, error) {
-	return c.Model.GreedyK(metric, maxK, c.Rounds/4, c.Interval*4, c.Start, c.Seed)
+	return c.Model.GreedyK(metric, maxK, c.Rounds/4, c.Interval*4, c.Start, c.Seed, c.Par)
 }
 
 // --- Table 11: intra-cloud RTT micro-benchmark ------------------------
@@ -231,7 +205,7 @@ type RTTRow struct {
 // "wanperf/rtt". The fault phase is the pair's index over the
 // benchmark, and probe values draw before the loss verdict, so
 // surviving samples equal the fault-free run's.
-func IntraCloudRTTs(c *cloud.Cloud, region string, opt Options) ([]RTTRow, error) {
+func IntraCloudRTTs(c *cloud.Cloud, region string, opt core.Options) ([]RTTRow, error) {
 	seed, eng, comp := opt.Seed, opt.Chaos, opt.Completeness
 	acct := c.NewAccount("rtt-bench")
 	labels := acct.ZoneLabels(region)
@@ -312,7 +286,7 @@ type ISPRow struct {
 // (phase = the pair's index over the sweep), so observed ISP counts
 // are lower bounds of the fault-free run's, and per-zone accounting
 // lands in opt.Completeness under stage "wanperf/isp".
-func ISPDiversity(m *wan.Model, zoneCounts map[string]int, opt Options) ([]ISPRow, error) {
+func ISPDiversity(m *wan.Model, zoneCounts map[string]int, opt core.Options) ([]ISPRow, error) {
 	seed, eng, comp := opt.Seed, opt.Chaos, opt.Completeness
 	regions := make([]string, 0, len(zoneCounts))
 	for r := range zoneCounts {
@@ -405,5 +379,5 @@ func (c *Campaign) Outages(maxK, trials int) (wan.OutageResult, error) {
 			}
 		}
 	}
-	return c.Model.SimulateOutages(order, maxK, trials, c.Seed)
+	return c.Model.SimulateOutages(order, maxK, trials, c.Seed, c.Par)
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"cloudscope/internal/cloud"
+	"cloudscope/internal/core"
 	"cloudscope/internal/ipranges"
 	"cloudscope/internal/parallel"
 	"cloudscope/internal/wan"
@@ -106,7 +107,7 @@ func TestOptimalKFigure12(t *testing.T) {
 
 func TestIntraCloudRTTTable11(t *testing.T) {
 	ec2 := cloud.NewEC2(33)
-	rows := must(IntraCloudRTTs(ec2, "ec2.us-east-1", Options{Seed: 7, Par: parallel.Options{Workers: 1}}))
+	rows := must(IntraCloudRTTs(ec2, "ec2.us-east-1", core.Options{Seed: 7, Par: parallel.Options{Workers: 1}}))
 	if len(rows) != len(cloud.InstanceTypes)*3 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -132,7 +133,7 @@ func TestISPDiversityTable16(t *testing.T) {
 	zoneCounts := map[string]int{
 		"ec2.us-east-1": 3, "ec2.us-west-1": 2, "ec2.sa-east-1": 2,
 	}
-	rows := must(ISPDiversity(m, zoneCounts, Options{Seed: 9, Par: parallel.Options{Workers: 1}}))
+	rows := must(ISPDiversity(m, zoneCounts, core.Options{Seed: 9, Par: parallel.Options{Workers: 1}}))
 	byRegion := map[string]ISPRow{}
 	for _, r := range rows {
 		byRegion[r.Region] = r

@@ -8,15 +8,13 @@ import (
 	"sort"
 
 	"cloudscope/internal/cartography"
-	"cloudscope/internal/chaos"
 	"cloudscope/internal/cloud"
+	"cloudscope/internal/core"
 	"cloudscope/internal/core/dataset"
 	"cloudscope/internal/core/patterns"
 	"cloudscope/internal/ipranges"
 	"cloudscope/internal/netaddr"
-	"cloudscope/internal/parallel"
 	"cloudscope/internal/stats"
-	"cloudscope/internal/telemetry"
 )
 
 // Config parameterizes the zone study.
@@ -26,14 +24,11 @@ type Config struct {
 	Accounts       int
 	SamplesPerZone int
 	Latency        cartography.LatencyConfig
-	Seed           int64
-	// Par controls the latency-probing fan-out; results are identical
-	// at every worker count.
-	Par parallel.Options
-	// Chaos, when non-nil, injects account outages and regional probe
-	// faults; Completeness records the resulting coverage.
-	Chaos        *chaos.Engine
-	Completeness *telemetry.Completeness
+	// Options is the cartography run context: Par controls the
+	// probing fan-out (results are identical at every worker count),
+	// Chaos injects account outages and regional probe faults, and
+	// Completeness records the resulting coverage.
+	core.Options
 }
 
 // DefaultConfig mirrors the paper's setup at library scale.
@@ -42,7 +37,7 @@ func DefaultConfig() Config {
 		Accounts:       6,
 		SamplesPerZone: 8,
 		Latency:        cartography.DefaultLatencyConfig(),
-		Seed:           1,
+		Options:        core.Options{Seed: 1},
 	}
 }
 
@@ -106,15 +101,14 @@ func Run(ds *dataset.Dataset, det *patterns.Result, ec2 *cloud.Cloud, cfg Config
 
 	// Cartography.
 	s.Ref = ec2.NewAccount("zones-reference")
-	copt := cartography.Options{Seed: cfg.Seed, Par: cfg.Par, Chaos: cfg.Chaos, Completeness: cfg.Completeness}
 	var err error
-	if s.Samples, err = cartography.SampleAccounts(ec2, s.Ref, cfg.Accounts-1, cfg.SamplesPerZone, copt); err != nil {
+	if s.Samples, err = cartography.SampleAccounts(ec2, s.Ref, cfg.Accounts-1, cfg.SamplesPerZone, cfg.Options); err != nil {
 		return nil, err
 	}
-	if s.PM, err = cartography.MergeAccounts(s.Samples, s.Ref.Name, copt); err != nil {
+	if s.PM, err = cartography.MergeAccounts(s.Samples, s.Ref.Name, cfg.Options); err != nil {
 		return nil, err
 	}
-	if s.Lat, err = cartography.IdentifyByLatency(ec2, s.Ref, s.Targets, cfg.Latency, copt); err != nil {
+	if s.Lat, err = cartography.IdentifyByLatency(ec2, s.Ref, s.Targets, cfg.Latency, cfg.Options); err != nil {
 		return nil, err
 	}
 	s.Combined = cartography.IdentifyCombined(s.Targets, s.PM, s.Lat)

@@ -207,7 +207,9 @@ func (e *encoder) uint32(v uint32) {
 // name appends a possibly-compressed encoding of a domain name.
 func (e *encoder) name(name string) error {
 	name = CanonicalName(name)
-	if len(name)+1 > maxNameLen {
+	// A dot left after canonicalization ends the name in an empty
+	// label, which the label walk below would silently drop.
+	if len(name)+1 > maxNameLen || strings.HasSuffix(name, ".") {
 		return errBadName
 	}
 	for name != "" {

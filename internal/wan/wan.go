@@ -58,12 +58,6 @@ type Model struct {
 	Clients []geo.Vantage
 	Regions []string
 
-	// Par controls the sample-collection fan-out. Each client draws
-	// from its own seed-derived stream, so results are identical at
-	// every worker count. The fanned-out methods return an error only
-	// when a worker panics or Par.Ctx is cancelled.
-	Par parallel.Options
-
 	// metrics is read on every sample, so it bypasses any locking.
 	metrics atomic.Pointer[Metrics]
 
@@ -304,14 +298,16 @@ type OutageResult struct {
 // deployments: for each trial, fail one random downstream ISP in every
 // region; a client is cut off if, for every region in its deployment,
 // its route traverses a failed ISP. Deployments of size k use the first
-// k regions of bestOrder.
-func (m *Model) SimulateOutages(bestOrder []string, maxK, trials int, seed int64) (OutageResult, error) {
+// k regions of bestOrder. Trials fan out over par, each on its own
+// seed-derived stream, so results are identical at every worker count;
+// it errors only when a worker panics or par.Ctx is cancelled.
+func (m *Model) SimulateOutages(bestOrder []string, maxK, trials int, seed int64, par parallel.Options) (OutageResult, error) {
 	res := OutageResult{Trials: trials, MeanUnreachable: map[int]float64{}}
 	for k := 1; k <= maxK && k <= len(bestOrder); k++ {
 		regions := bestOrder[:k]
-		shards := parallel.Shards(trials, m.Par.ShardSize)
+		shards := parallel.Shards(trials, par.ShardSize)
 		sums := make([]float64, len(shards))
-		if err := parallel.Run(m.Par, trials, func(sh parallel.Shard) error {
+		if err := parallel.Run(par, trials, func(sh parallel.Shard) error {
 			// Each trial draws from its own seed-derived stream, so
 			// shard boundaries and worker count cannot shift outcomes.
 			sum := 0.0
@@ -382,15 +378,16 @@ type samples struct {
 }
 
 // collect samples every (client, region) pair once per round. Clients
-// fan out across workers, each drawing from its own seed-derived
+// fan out across par's workers, each drawing from its own seed-derived
 // stream and writing only its column of every round, so the sample
-// tensor is identical at every worker count.
-func (m *Model) collect(metric Metric, rounds int, interval time.Duration, start time.Time, seed int64) (*samples, error) {
+// tensor is identical at every worker count. It errors only when a
+// worker panics or par.Ctx is cancelled.
+func (m *Model) collect(metric Metric, rounds int, interval time.Duration, start time.Time, seed int64, par parallel.Options) (*samples, error) {
 	s := &samples{vals: make([][][]float64, rounds)}
 	for round := range s.vals {
 		s.vals[round] = make([][]float64, len(m.Clients))
 	}
-	err := parallel.Run(m.Par, len(m.Clients), func(sh parallel.Shard) error {
+	err := parallel.Run(par, len(m.Clients), func(sh parallel.Shard) error {
 		for ci := sh.Lo; ci < sh.Hi; ci++ {
 			c := m.Clients[ci]
 			rng := xrand.SplitSeeded(seed, "wan/collect/"+c.ID)
@@ -418,9 +415,10 @@ func (m *Model) collect(metric Metric, rounds int, interval time.Duration, start
 // OptimalK computes, for each k in [1, maxK], the best k-region subset
 // and the average performance clients would see picking their best
 // region each round — the paper's Figure 12 upper bound. The search is
-// exhaustive over subsets, exactly as published.
-func (m *Model) OptimalK(metric Metric, maxK, rounds int, interval time.Duration, start time.Time, seed int64) ([]OptimalKResult, error) {
-	s, err := m.collect(metric, rounds, interval, start, seed)
+// exhaustive over subsets, exactly as published. Sample collection
+// fans out over par (see collect).
+func (m *Model) OptimalK(metric Metric, maxK, rounds int, interval time.Duration, start time.Time, seed int64, par parallel.Options) ([]OptimalKResult, error) {
+	s, err := m.collect(metric, rounds, interval, start, seed, par)
 	if err != nil {
 		return nil, err
 	}
@@ -450,9 +448,9 @@ func (m *Model) OptimalK(metric Metric, maxK, rounds int, interval time.Duration
 }
 
 // GreedyK is the ablation comparator: grow the region set greedily
-// instead of exhaustively.
-func (m *Model) GreedyK(metric Metric, maxK, rounds int, interval time.Duration, start time.Time, seed int64) ([]OptimalKResult, error) {
-	s, err := m.collect(metric, rounds, interval, start, seed)
+// instead of exhaustively, on the same par-fanned samples.
+func (m *Model) GreedyK(metric Metric, maxK, rounds int, interval time.Duration, start time.Time, seed int64, par parallel.Options) ([]OptimalKResult, error) {
+	s, err := m.collect(metric, rounds, interval, start, seed, par)
 	if err != nil {
 		return nil, err
 	}

@@ -7,6 +7,7 @@ import (
 
 	"cloudscope/internal/geo"
 	"cloudscope/internal/ipranges"
+	"cloudscope/internal/parallel"
 	"cloudscope/internal/xrand"
 )
 
@@ -101,7 +102,7 @@ func TestBestRegionFlipsForSomeClient(t *testing.T) {
 
 func TestOptimalKDiminishingReturns(t *testing.T) {
 	m := newModel(40)
-	res := must(m.OptimalK(MetricLatency, 5, 24, time.Hour, start, 11))
+	res := must(m.OptimalK(MetricLatency, 5, 24, time.Hour, start, 11, parallel.Options{}))
 	if len(res) != 5 {
 		t.Fatalf("results = %d", len(res))
 	}
@@ -135,7 +136,7 @@ func TestOptimalKDiminishingReturns(t *testing.T) {
 
 func TestOptimalKThroughputIncreases(t *testing.T) {
 	m := newModel(24)
-	res := must(m.OptimalK(MetricThroughput, 4, 12, time.Hour, start, 12))
+	res := must(m.OptimalK(MetricThroughput, 4, 12, time.Hour, start, 12, parallel.Options{}))
 	for i := 1; i < len(res); i++ {
 		if res[i].Value < res[i-1].Value-1e-9 {
 			t.Fatalf("throughput decreased at k=%d", i+1)
@@ -145,8 +146,8 @@ func TestOptimalKThroughputIncreases(t *testing.T) {
 
 func TestGreedyNearOptimal(t *testing.T) {
 	m := newModel(24)
-	opt := must(m.OptimalK(MetricLatency, 4, 12, time.Hour, start, 13))
-	greedy := must(m.GreedyK(MetricLatency, 4, 12, time.Hour, start, 13))
+	opt := must(m.OptimalK(MetricLatency, 4, 12, time.Hour, start, 13, parallel.Options{}))
+	greedy := must(m.GreedyK(MetricLatency, 4, 12, time.Hour, start, 13, parallel.Options{}))
 	for i := range opt {
 		if greedy[i].Value < opt[i].Value-1e-9 {
 			t.Fatalf("greedy beat exhaustive at k=%d", i+1)
@@ -232,7 +233,7 @@ func TestRouteSpreadUneven(t *testing.T) {
 
 func TestOutageSimulation(t *testing.T) {
 	m := newModel(100)
-	res := must(m.SimulateOutages([]string{"ec2.us-east-1", "ec2.ap-northeast-1", "ec2.us-west-1"}, 3, 40, 17))
+	res := must(m.SimulateOutages([]string{"ec2.us-east-1", "ec2.ap-northeast-1", "ec2.us-west-1"}, 3, 40, 17, parallel.Options{}))
 	u1, u2, u3 := res.MeanUnreachable[1], res.MeanUnreachable[2], res.MeanUnreachable[3]
 	if u1 <= 0 {
 		t.Fatal("single-region outages never cut anyone off")

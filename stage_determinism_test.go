@@ -9,6 +9,7 @@ import (
 
 	"cloudscope/internal/capture"
 	"cloudscope/internal/cartography"
+	"cloudscope/internal/core"
 	"cloudscope/internal/core/dataset"
 	"cloudscope/internal/core/traffic"
 	"cloudscope/internal/deploy"
@@ -59,7 +60,7 @@ func stageHashes(t *testing.T, seed int64, workers int) map[string]string {
 		Ranges:   world.Ranges,
 		Domains:  names,
 		Vantages: 8,
-		Workers:  workers,
+		Par:      opt,
 	}))
 	digest("dataset", func(h *sha256Writer) {
 		if _, err := ds.WriteTo(h); err != nil {
@@ -91,8 +92,8 @@ func stageHashes(t *testing.T, seed int64, workers int) map[string]string {
 
 	// Stage 4: cartography sampling and the proximity-map merge.
 	ref := world.EC2.NewAccount("stage-ref")
-	samples := must(cartography.SampleAccounts(world.EC2, ref, 3, 3, cartography.Options{Seed: seed, Par: opt}))
-	pm := must(cartography.MergeAccounts(samples, ref.Name, cartography.Options{Par: opt}))
+	samples := must(cartography.SampleAccounts(world.EC2, ref, 3, 3, core.Options{Seed: seed, Par: opt}))
+	pm := must(cartography.MergeAccounts(samples, ref.Name, core.Options{Par: opt}))
 	digest("cartography", func(h *sha256Writer) {
 		for _, s := range samples {
 			fmt.Fprintf(h, "S %s %s %s %s\n", s.Account, s.Region, s.Label, s.InternalIP)
@@ -151,7 +152,7 @@ func streamedDatasetHash(t *testing.T, seed int64, workers, chunk int) string {
 			Registry: w.Registry,
 			Ranges:   w.Ranges,
 			Vantages: 8,
-			Workers:  workers,
+			Par:      parallel.Options{Workers: workers},
 		},
 		Total: wcfg.NumDomains,
 	})

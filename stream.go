@@ -48,7 +48,7 @@ func StreamDataset(cfg Config, chunkSize int, spillDir string, out io.Writer) (d
 			Registry: w.Registry,
 			Ranges:   w.Ranges,
 			Vantages: cfg.Vantages,
-			Workers:  cfg.Workers,
+			Par:      parallel.Options{Workers: cfg.Workers},
 		},
 		Total:    cfg.Domains,
 		SpillDir: spillDir,
