@@ -63,7 +63,7 @@ chaos:
 	$(GO) test ./internal/chaos ./internal/chaos/trace
 	$(GO) test -run 'UnderLoss|Chaos|Outage|Brownout|ServFail|Backoff' \
 		./internal/core/dataset ./internal/cartography ./internal/core/wanperf ./internal/dnssrv
-	$(GO) test -run 'TestChaosDeterminism|TestChaosChangesOutcomes|TestChaosRecordReplay|TestChaosBisect' .
+	$(GO) test -run 'TestChaosDeterminism|TestChaosChangesOutcomes|TestChaosCaptureCompleteness|TestChaosRecordReplay|TestChaosBisect' .
 
 # The fault-forensics loop in miniature, under the race detector:
 # record a faulted study's trace, replay it byte-identically, and

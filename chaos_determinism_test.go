@@ -128,3 +128,27 @@ func TestChaosChangesOutcomes(t *testing.T) {
 		t.Fatal("chaos outcomes do not vary with the seed")
 	}
 }
+
+// TestChaosCaptureCompleteness: a Study under a capture-layer scenario
+// books the analyzer's accounting. Capture() leaves both capture stages
+// in Completeness(), with one flow attempt per analyzed flow and one
+// frame attempt per pcap record.
+func TestChaosCaptureCompleteness(t *testing.T) {
+	sc, err := chaos.Load("lossy-capture")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewStudy(chaosConfig(3, 1, sc))
+	_, an := s.Capture()
+	flows, ok := s.Completeness().Stage("capture/flows")
+	if !ok || flows.Attempted != int64(len(an.Flows)) {
+		t.Fatalf("capture/flows = %+v (booked %v), want %d flows attempted", flows, ok, len(an.Flows))
+	}
+	frames, ok := s.Completeness().Stage("capture/frames")
+	if !ok || frames.Attempted != int64(an.Records) {
+		t.Fatalf("capture/frames = %+v (booked %v), want %d records attempted", frames, ok, an.Records)
+	}
+	if frames.Abandoned != int64(an.DecodeErrs) || frames.Abandoned == 0 {
+		t.Fatalf("capture/frames abandoned %d, want the %d decode errors (non-zero under cap-corrupt)", frames.Abandoned, an.DecodeErrs)
+	}
+}

@@ -22,6 +22,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -100,16 +101,6 @@ func DefaultConfig() Config {
 
 // WithDomains returns the config with a different list size.
 func (c Config) WithDomains(n int) Config { c.Domains = n; return c }
-
-// WithSeed returns the config reseeded.
-func (c Config) WithSeed(seed int64) Config { c.Seed = seed; return c }
-
-// WithWorkers returns the config with a different fan-out bound
-// (0 = GOMAXPROCS, 1 = sequential).
-func (c Config) WithWorkers(n int) Config { c.Workers = n; return c }
-
-// WithChaos returns the config running under a fault scenario.
-func (c Config) WithChaos(sc *chaos.Scenario) Config { c.Chaos = sc; return c }
 
 // FieldError reports one invalid Config field: which field, the value
 // it held, and what is wrong with it.
@@ -591,17 +582,17 @@ func (s *Study) Capture() (*capture.Truth, *capture.Analysis) {
 func (s *Study) buildCapture() (captureResult, error) {
 	w := s.World() // before the span, so the simulated clock is wired
 	defer s.tel.StartSpan("study/capture").End()
-	ccfg := s.captureConfig()
 	var buf bytes.Buffer
-	truth, err := capture.NewGenerator(ccfg, w).Generate(pcapio.NewWriter(&buf, ccfg.Snaplen))
+	truth, err := s.WriteCapture(&buf)
 	if err != nil {
 		return captureResult{}, err
 	}
 	opt := s.opts(context.Background(), "capture_analyze")
-	an, err := capture.AnalyzeOpts(&buf, w.Ranges, capture.AnalyzeOptions{Par: opt.Par, Completeness: opt.Completeness})
+	an, err := capture.AnalyzePar(&buf, w.Ranges, opt.Par)
 	if err != nil {
 		return captureResult{}, err
 	}
+	an.Book(opt.Completeness)
 	return captureResult{truth: truth, an: an}, nil
 }
 
@@ -617,11 +608,8 @@ func (s *Study) captureConfig() capture.Config {
 	return ccfg
 }
 
-// pcapWriter is the sink WriteCapture streams the pcap into.
-type pcapWriter interface{ Write(p []byte) (int, error) }
-
 // WriteCapture writes the synthetic border capture in pcap format.
-func (s *Study) WriteCapture(w pcapWriter) (*capture.Truth, error) {
+func (s *Study) WriteCapture(w io.Writer) (*capture.Truth, error) {
 	ccfg := s.captureConfig()
 	g := capture.NewGenerator(ccfg, s.World())
 	return g.Generate(pcapio.NewWriter(w, ccfg.Snaplen))

@@ -19,6 +19,10 @@
 //	GET  /healthz                     liveness + current epoch
 //	GET  /metrics                     serve.* and study telemetry, JSON
 //	POST /admin/reload?seed=&domains=&chaos=   swap in a new world epoch
+//
+// A /v1 query reads only the parameters shown, and only the first
+// value of each; anything else in the query string is ignored and
+// shares the cached answer of the query without it.
 package main
 
 import (
@@ -47,7 +51,6 @@ func main() {
 	maxQueue := flag.Int("max-queue", 256, "bound on requests in the system; excess gets 429")
 	queueTimeout := flag.Duration("queue-timeout", 5*time.Second, "max wait for an endpoint slot before 503")
 	endpointConc := flag.Int("endpoint-concurrency", 4, "concurrently executing requests per endpoint")
-	requestSpans := flag.Bool("request-spans", false, "record a span per request (memory grows with traffic; debugging only)")
 	warm := flag.Bool("warm", false, "build the world and dataset before accepting traffic")
 	shared := cliflags.Register(flag.CommandLine)
 	flag.Parse()
@@ -62,7 +65,6 @@ func main() {
 		MaxQueue:            *maxQueue,
 		QueueTimeout:        *queueTimeout,
 		EndpointConcurrency: *endpointConc,
-		RequestSpans:        *requestSpans,
 	})
 	if err != nil {
 		fatal(err)

@@ -11,6 +11,7 @@ import (
 	"cloudscope/internal/capture"
 	"cloudscope/internal/core/traffic"
 	"cloudscope/internal/ipranges"
+	"cloudscope/internal/parallel"
 )
 
 func main() {
@@ -36,7 +37,7 @@ func main() {
 		panic(err)
 	}
 	defer in.Close()
-	an, err := capture.Analyze(in, ipranges.Published())
+	an, err := capture.AnalyzePar(in, ipranges.Published(), parallel.Options{})
 	if err != nil {
 		panic(err)
 	}

@@ -165,28 +165,6 @@ type flowKey struct {
 	proto          uint8
 }
 
-// Analyze reads a pcap stream and builds per-flow records. Only flows
-// whose non-campus endpoint is inside the published cloud ranges are
-// kept — the same filter the border tap applied.
-func Analyze(r io.Reader, ranges *ipranges.List) (*Analysis, error) {
-	return AnalyzeOpts(r, ranges, AnalyzeOptions{Par: parallel.Options{Workers: 1}})
-}
-
-// AnalyzeOptions parameterizes AnalyzeOpts beyond the stream itself.
-type AnalyzeOptions struct {
-	// Par bounds the parallel pre-decode phase. Its ShardSize counts
-	// blocks per shard (default one), and the analyzer holds one shard
-	// per worker in memory at a time.
-	Par parallel.Options
-	// Completeness, when non-nil, receives capture accounting: stage
-	// "capture/flows" counts one attempt per flow under its symptom
-	// vantage (complete/partial/rst/reordered) — partial flows whose
-	// volume was recovered from sequence bookkeeping count as
-	// succeeded-with-retry, volume-less ones as abandoned — and stage
-	// "capture/frames" counts records against decode failures.
-	Completeness *telemetry.Completeness
-}
-
 // predecode is the parallel phase's per-packet result: everything the
 // sequential assembly step needs that is computable from one packet
 // alone, distilled from a stack-local header decode (no *Packet
@@ -249,24 +227,19 @@ func predecodeRecord(d *predecode, ranges *ipranges.List, data []byte) {
 	d.payload = p.Payload
 }
 
-// AnalyzePar is Analyze with the per-packet work fanned out over opt.
+// AnalyzePar reads a pcap stream and builds per-flow records. Only
+// flows whose non-campus endpoint is inside the published cloud ranges
+// are kept — the same filter the border tap applied.
+//
+// The stream is read one batch of pooled blocks at a time (no
+// per-record allocation): header decode and range lookup shard over the
+// batch's blocks — one shard per worker, opt.ShardSize blocks each
+// (default one) — and flow assembly, the only stateful step, then folds
+// the batch in capture order and releases its blocks before the next
+// batch is read. Pre-decode is a pure per-record function, so the
+// result is byte-identical to the sequential analyzer at every worker
+// count and shard layout. Memory holds one batch, not the whole pcap.
 func AnalyzePar(r io.Reader, ranges *ipranges.List, opt parallel.Options) (*Analysis, error) {
-	return AnalyzeOpts(r, ranges, AnalyzeOptions{Par: opt})
-}
-
-// AnalyzeOpts is the full-control analyzer entry point. The pcap
-// stream is read one batch of pooled blocks at a time (no per-record
-// allocation): header decode and range lookup shard over the batch's
-// blocks — one shard per worker, opt.ShardSize blocks each (default
-// one) — and flow assembly, the only stateful step, then folds the
-// batch in capture order and releases its blocks before the next batch
-// is read. Pre-decode is a pure per-record function, so the result is
-// byte-identical to the sequential analyzer at every worker count and
-// shard layout, and completeness accounting (flows iterated in capture
-// order) inherits the same invariance. Memory holds one batch, not the
-// whole pcap.
-func AnalyzeOpts(r io.Reader, ranges *ipranges.List, aopt AnalyzeOptions) (*Analysis, error) {
-	opt := aopt.Par
 	rd, err := pcapio.NewReader(r)
 	if err != nil {
 		return nil, err
@@ -336,8 +309,7 @@ func AnalyzeOpts(r io.Reader, ranges *ipranges.List, aopt AnalyzeOptions) (*Anal
 	}
 	a.Records = total
 	for _, fr := range a.Flows {
-		sym := fr.Symptom()
-		switch sym {
+		switch fr.Symptom() {
 		case "rst":
 			a.RSTFlows++
 		case "reordered":
@@ -345,24 +317,36 @@ func AnalyzeOpts(r io.Reader, ranges *ipranges.List, aopt AnalyzeOptions) (*Anal
 		case "partial":
 			a.PartialTCP++
 		}
-		if tel := aopt.Completeness; tel != nil {
-			c := telemetry.Counts{Attempted: 1}
-			if fr.Complete() {
-				c.Succeeded = 1
-			} else if fr.Bytes() > 0 {
-				c.Succeeded, c.Retried = 1, 1 // recovered from seq bookkeeping
-			} else {
-				c.Abandoned = 1 // no volume basis survived the faults
-			}
-			tel.Merge("capture/flows", sym, c)
-		}
 	}
-	aopt.Completeness.Merge("capture/frames", "decode", telemetry.Counts{
-		Attempted: int64(total),
-		Succeeded: int64(total - a.DecodeErrs),
+	return a, nil
+}
+
+// Book records the analysis's capture accounting in tel (a nil tel is a
+// no-op). Stage "capture/flows" counts one attempt per flow under its
+// symptom vantage (complete/partial/rst/reordered): partial flows whose
+// volume was recovered from sequence bookkeeping count as
+// succeeded-with-retry, volume-less ones as abandoned. Stage
+// "capture/frames" counts records against decode failures.
+func (a *Analysis) Book(tel *telemetry.Completeness) {
+	if tel == nil {
+		return
+	}
+	for _, fr := range a.Flows {
+		c := telemetry.Counts{Attempted: 1}
+		if fr.Complete() {
+			c.Succeeded = 1
+		} else if fr.Bytes() > 0 {
+			c.Succeeded, c.Retried = 1, 1 // recovered from seq bookkeeping
+		} else {
+			c.Abandoned = 1 // no volume basis survived the faults
+		}
+		tel.Merge("capture/flows", fr.Symptom(), c)
+	}
+	tel.Merge("capture/frames", "decode", telemetry.Counts{
+		Attempted: int64(a.Records),
+		Succeeded: int64(a.Records - a.DecodeErrs),
 		Abandoned: int64(a.DecodeErrs),
 	})
-	return a, nil
 }
 
 // fold assembles one block's pre-decoded records into their flows, in

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"cloudscope/internal/parallel"
 	"cloudscope/internal/pcapio"
 )
 
@@ -20,7 +21,7 @@ func BenchmarkAnalyze(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Analyze(bytes.NewReader(raw), capWorld.Ranges); err != nil {
+		if _, err := AnalyzePar(bytes.NewReader(raw), capWorld.Ranges, parallel.Options{Workers: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -77,13 +77,12 @@ type Config struct {
 	Snaplen int
 	// Start is the capture start time.
 	Start time.Time
-	// Par bounds and instruments the generator's and analyzer's
-	// fan-outs. The capture is bit-identical at every worker count and
-	// every shard layout: each flow draws from a sub-stream keyed by
-	// (Seed, flow index) and packets sort under a strict total order,
-	// so the pcap is a pure function of Seed and the world; the
-	// analyzer's parallel phase is a pure per-block header pre-decode
-	// ahead of sequential flow assembly.
+	// Par bounds and instruments the generator's fan-out (the analyzer
+	// takes its own options in AnalyzePar). The capture is
+	// bit-identical at every worker count and every shard layout: each
+	// flow draws from a sub-stream keyed by (Seed, flow index) and
+	// packets sort under a strict total order, so the pcap is a pure
+	// function of Seed and the world.
 	Par parallel.Options
 	// Chaos, when non-nil, injects capture-layer faults (truncated
 	// flows, forged mid-stream RSTs, re-ordered segments, corrupted

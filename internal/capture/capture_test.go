@@ -8,6 +8,7 @@ import (
 
 	"cloudscope/internal/deploy"
 	"cloudscope/internal/ipranges"
+	"cloudscope/internal/parallel"
 	"cloudscope/internal/pcapio"
 	"cloudscope/internal/stats"
 )
@@ -25,7 +26,7 @@ func generate(t testing.TB, cfg Config) (*Truth, *Analysis) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := Analyze(&buf, capWorld.Ranges)
+	a, err := AnalyzePar(&buf, capWorld.Ranges, parallel.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,10 +36,11 @@ func chaosCfg(t testing.TB, flows int, scenario string, seed int64) Config {
 func TestCaptureFaultDeterminism(t *testing.T) {
 	completenessOf := func(raw []byte) []telemetry.StageCompleteness {
 		tel := telemetry.NewCompleteness()
-		if _, err := AnalyzeOpts(bytes.NewReader(raw), capWorld.Ranges,
-			AnalyzeOptions{Completeness: tel}); err != nil {
+		a, err := AnalyzePar(bytes.NewReader(raw), capWorld.Ranges, parallel.Options{})
+		if err != nil {
 			t.Fatal(err)
 		}
+		a.Book(tel)
 		return tel.Snapshot()
 	}
 	for _, seed := range []int64{3, 11} {
@@ -89,11 +90,12 @@ func TestCaptureFaultsObservable(t *testing.T) {
 	}
 
 	tel := telemetry.NewCompleteness()
-	a, err := AnalyzeOpts(bytes.NewReader(raw), capWorld.Ranges, AnalyzeOptions{Completeness: tel})
+	a, err := AnalyzePar(bytes.NewReader(raw), capWorld.Ranges, parallel.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ca, err := Analyze(bytes.NewReader(clean), capWorld.Ranges)
+	a.Book(tel)
+	ca, err := AnalyzePar(bytes.NewReader(clean), capWorld.Ranges, parallel.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +149,7 @@ func TestCaptureFaultsObservable(t *testing.T) {
 func TestAnalyzeTruncatedPcap(t *testing.T) {
 	raw, _ := genBytes(t, testCfg(40))
 	for _, cut := range []int{len(raw) - 5, 24 + 8} {
-		_, err := Analyze(bytes.NewReader(raw[:cut]), capWorld.Ranges)
+		_, err := AnalyzePar(bytes.NewReader(raw[:cut]), capWorld.Ranges, parallel.Options{Workers: 1})
 		if !errors.Is(err, pcapio.ErrTruncated) {
 			t.Fatalf("cut at %d: err = %v, want ErrTruncated", cut, err)
 		}
@@ -162,7 +164,7 @@ func TestAnalyzeTruncatedPcap(t *testing.T) {
 		t.Fatal(err)
 	}
 	boundary := 24 + 16 + len(rec.Data)
-	if _, err := Analyze(bytes.NewReader(raw[:boundary]), capWorld.Ranges); err != nil {
+	if _, err := AnalyzePar(bytes.NewReader(raw[:boundary]), capWorld.Ranges, parallel.Options{Workers: 1}); err != nil {
 		t.Fatalf("boundary cut: %v", err)
 	}
 }
@@ -175,8 +177,14 @@ func TestCaptureChaosRace(t *testing.T) {
 	cfg := chaosCfg(t, 600, "hostile-capture", 7)
 	cfg.Par = parallel.Options{Workers: runtime.GOMAXPROCS(0), ShardSize: 16}
 	raw, _ := genBytes(t, cfg)
-	if _, err := AnalyzePar(bytes.NewReader(raw), capWorld.Ranges,
-		parallel.Options{Workers: runtime.GOMAXPROCS(0), ShardSize: 8}); err != nil {
+	a, err := AnalyzePar(bytes.NewReader(raw), capWorld.Ranges,
+		parallel.Options{Workers: runtime.GOMAXPROCS(0), ShardSize: 8})
+	if err != nil {
 		t.Fatal(err)
+	}
+	tel := telemetry.NewCompleteness()
+	a.Book(tel)
+	if frames, ok := tel.Stage("capture/frames"); !ok || frames.Attempted != int64(a.Records) {
+		t.Fatalf("capture/frames = %+v, want %d records attempted", frames, a.Records)
 	}
 }

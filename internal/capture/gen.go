@@ -421,9 +421,6 @@ func (g *Generator) Generate(w *pcapio.Writer) (*Truth, error) {
 	// order is cosmetic; the blocks just need to live until written.)
 	collect := func(fgs []*flowgen) {
 		for _, fg := range fgs {
-			if fg == nil {
-				continue
-			}
 			bi := int32(len(blocks))
 			for _, ev := range fg.events {
 				ev.blk = bi
@@ -441,10 +438,8 @@ func (g *Generator) Generate(w *pcapio.Writer) (*Truth, error) {
 	for _, cloud := range clouds {
 		cloud := cloud
 		kindPick := xrand.NewWeighted(g.rng, flowKindWeights[cloud])
-		shards := parallel.Shards(bgBudget[cloud], g.cfg.Par.ShardSize)
-		fgs := make([]*flowgen, len(shards))
 		cloudBase := base
-		if err := parallel.Run(g.cfg.Par, bgBudget[cloud], func(sh parallel.Shard) error {
+		fgs, err := parallel.MapShards(g.cfg.Par, bgBudget[cloud], func(sh parallel.Shard) ([]*flowgen, error) {
 			fg := g.newFlowgen()
 			for i := sh.Lo; i < sh.Hi; i++ {
 				idx := cloudBase + i + 1
@@ -481,9 +476,9 @@ func (g *Generator) Generate(w *pcapio.Writer) (*Truth, error) {
 				}
 			}
 			fg.finishFlow()
-			fgs[sh.Index] = fg
-			return nil
-		}); err != nil {
+			return []*flowgen{fg}, nil
+		})
+		if err != nil {
 			return nil, err
 		}
 		collect(fgs)
@@ -506,9 +501,7 @@ func (g *Generator) Generate(w *pcapio.Writer) (*Truth, error) {
 			anchorOf = append(anchorOf, ai)
 		}
 	}
-	shards := parallel.Shards(len(anchorOf), g.cfg.Par.ShardSize)
-	fgs := make([]*flowgen, len(shards))
-	if err := parallel.Run(g.cfg.Par, len(anchorOf), func(sh parallel.Shard) error {
+	fgs, err := parallel.MapShards(g.cfg.Par, len(anchorOf), func(sh parallel.Shard) ([]*flowgen, error) {
 		fg := g.newFlowgen()
 		for j := sh.Lo; j < sh.Hi; j++ {
 			idx := base + j + 1
@@ -523,9 +516,9 @@ func (g *Generator) Generate(w *pcapio.Writer) (*Truth, error) {
 			fg.tcpFlow(idx, kind, h, size)
 		}
 		fg.finishFlow()
-		fgs[sh.Index] = fg
-		return nil
-	}); err != nil {
+		return []*flowgen{fg}, nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	collect(fgs)

@@ -62,7 +62,7 @@ func TestGenerateWorkerCountInvariant(t *testing.T) {
 // pre-decode fan-out reconstructs exactly the sequential analysis.
 func TestAnalyzeWorkerCountInvariant(t *testing.T) {
 	raw, _ := genBytes(t, testCfg(900))
-	golden, err := Analyze(bytes.NewReader(raw), capWorld.Ranges)
+	golden, err := AnalyzePar(bytes.NewReader(raw), capWorld.Ranges, parallel.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,7 +28,7 @@ import (
 func TestAnalyzeRetainsNoPooledBuffers(t *testing.T) {
 	cfg := testCfg(600)
 	raw, truth := genBytes(t, cfg)
-	golden, err := Analyze(bytes.NewReader(raw), capWorld.Ranges)
+	golden, err := AnalyzePar(bytes.NewReader(raw), capWorld.Ranges, parallel.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

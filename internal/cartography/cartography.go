@@ -417,83 +417,44 @@ type regionMerge struct {
 // are sorted — so shuffling sample arrival order (or the worker count)
 // cannot change the map.
 func MergeAccounts(samples []Sample, ref string, opt core.Options) (*ProximityMap, error) {
-	acc := NewMergeAccumulator()
-	acc.Add(samples...)
-	return acc.Finish(ref, opt)
-}
-
-// MergeAccumulator is the streaming form of MergeAccounts: samples fold
-// in chunk by chunk (the per-sample grouping is commutative up to
-// arrival order, which only anchors the default reference account), so
-// a campaign can discard each chunk of samples after Add instead of
-// materializing the full sample slice. Finish canonicalizes and runs
-// the per-region merges exactly as MergeAccounts — which delegates
-// here, so the two paths cannot diverge.
-type MergeAccumulator struct {
-	g        mergeGroups
-	accounts []string
-	seen     map[string]bool
-	regions  map[string]bool
-	n        int
-}
-
-// NewMergeAccumulator returns an empty accumulator.
-func NewMergeAccumulator() *MergeAccumulator {
-	return &MergeAccumulator{
-		g: mergeGroups{
-			groups:   map[mergeKey]map[netaddr.IP]bool{},
-			rawIPs:   map[mergeKey][]netaddr.IP{},
-			labelsOf: map[string]map[string][]string{},
-		},
-		seen:    map[string]bool{},
-		regions: map[string]bool{},
+	if len(samples) == 0 {
+		return &ProximityMap{ZoneOf16: map[string]map[netaddr.IP]int{}, Permutations: map[string]map[string][]int{}}, nil
 	}
-}
-
-// Len returns how many samples have been folded in.
-func (a *MergeAccumulator) Len() int { return a.n }
-
-// Add folds samples into the evidence groups. Chunk boundaries are
-// invisible to the result: the groups are sets and per-key IP lists
-// that Finish sorts canonically.
-func (a *MergeAccumulator) Add(samples ...Sample) {
+	g := mergeGroups{
+		groups:   map[mergeKey]map[netaddr.IP]bool{},
+		rawIPs:   map[mergeKey][]netaddr.IP{},
+		labelsOf: map[string]map[string][]string{},
+	}
+	var accounts []string
+	seen := map[string]bool{}
+	regionSet := map[string]bool{}
 	for _, s := range samples {
-		a.n++
 		k := mergeKey{s.Account, s.Region, s.Label}
-		if a.g.groups[k] == nil {
-			a.g.groups[k] = map[netaddr.IP]bool{}
+		if g.groups[k] == nil {
+			g.groups[k] = map[netaddr.IP]bool{}
 		}
-		a.g.groups[k][s.InternalIP.Prefix(16)] = true
-		a.g.rawIPs[k] = append(a.g.rawIPs[k], s.InternalIP)
-		if !a.seen[s.Account] {
-			a.seen[s.Account] = true
-			a.accounts = append(a.accounts, s.Account)
+		g.groups[k][s.InternalIP.Prefix(16)] = true
+		g.rawIPs[k] = append(g.rawIPs[k], s.InternalIP)
+		if !seen[s.Account] {
+			seen[s.Account] = true
+			accounts = append(accounts, s.Account)
 		}
-		a.regions[s.Region] = true
-		if a.g.labelsOf[s.Account] == nil {
-			a.g.labelsOf[s.Account] = map[string][]string{}
+		regionSet[s.Region] = true
+		if g.labelsOf[s.Account] == nil {
+			g.labelsOf[s.Account] = map[string][]string{}
 		}
 		found := false
-		for _, l := range a.g.labelsOf[s.Account][s.Region] {
+		for _, l := range g.labelsOf[s.Account][s.Region] {
 			if l == s.Label {
 				found = true
 			}
 		}
 		if !found {
-			a.g.labelsOf[s.Account][s.Region] = append(a.g.labelsOf[s.Account][s.Region], s.Label)
+			g.labelsOf[s.Account][s.Region] = append(g.labelsOf[s.Account][s.Region], s.Label)
 		}
 	}
-}
-
-// Finish canonicalizes the accumulated evidence and builds the
-// ProximityMap. The accumulator must not be Added to afterwards.
-func (a *MergeAccumulator) Finish(ref string, opt core.Options) (*ProximityMap, error) {
-	if a.n == 0 {
-		return &ProximityMap{ZoneOf16: map[string]map[netaddr.IP]int{}, Permutations: map[string]map[string][]int{}}, nil
-	}
-	g := a.g
 	if ref == "" {
-		ref = a.accounts[0]
+		ref = accounts[0]
 	}
 	// Canonical orders: labels and raw IPs sorted, non-reference
 	// accounts by name, regions sorted.
@@ -505,15 +466,15 @@ func (a *MergeAccumulator) Finish(ref string, opt core.Options) (*ProximityMap, 
 	for _, ips := range g.rawIPs {
 		sort.Slice(ips, func(i, j int) bool { return ips[i] < ips[j] })
 	}
-	others := make([]string, 0, len(a.accounts))
-	for _, acct := range a.accounts {
+	others := make([]string, 0, len(accounts))
+	for _, acct := range accounts {
 		if acct != ref {
 			others = append(others, acct)
 		}
 	}
 	sort.Strings(others)
-	regions := make([]string, 0, len(a.regions))
-	for r := range a.regions {
+	regions := make([]string, 0, len(regionSet))
+	for r := range regionSet {
 		regions = append(regions, r)
 	}
 	sort.Strings(regions)

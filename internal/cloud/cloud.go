@@ -431,17 +431,6 @@ func (c *Cloud) InternalFor(pub netaddr.IP) (netaddr.IP, bool) {
 	return inst.InternalIP, true
 }
 
-// Instances returns all allocated instances (unordered).
-func (c *Cloud) Instances() []*Instance {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]*Instance, 0, len(c.instances))
-	for _, inst := range c.instances {
-		out = append(out, inst)
-	}
-	return out
-}
-
 // NumInstances returns the number of allocations made, counted in both
 // retain modes.
 func (c *Cloud) NumInstances() int {

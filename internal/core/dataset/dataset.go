@@ -216,40 +216,59 @@ func Build(cfg Config) (*Dataset, error) {
 
 	brute, vantages := resolverPool(cfg, bruteNodes), resolverPool(cfg, cfg.Vantages)
 
-	type domainResult struct {
-		summary *DomainSummary
-		obs     []*Observation
-		queries int64
+	results, err := scan(cfg, brute, vantages, cfg.Domains, 0, len(cfg.Domains))
+	if err != nil {
+		return nil, err
 	}
-	results := make([]domainResult, len(cfg.Domains))
-	if err := parallel.Run(cfg.Par, len(cfg.Domains), func(sh parallel.Shard) error {
+	for _, r := range results {
+		ds.Stats.add(r)
+		ds.Domains[r.summary.Domain] = r.summary
+		for _, o := range r.obs {
+			ds.Subdomains[o.FQDN] = o
+			ds.ByDomain[o.Domain] = append(ds.ByDomain[o.Domain], o)
+		}
+	}
+	ds.Stats.SerialProbeTime = cfg.Fabric.Clock().Now().Sub(campaignStart)
+	return ds, nil
+}
+
+// domainResult is one domain's scan: its summary, its cloud-using
+// observations and the queries the scan issued.
+type domainResult struct {
+	summary *DomainSummary
+	obs     []*Observation
+	queries int64
+}
+
+// add folds one domain's scan into the campaign totals. The counters
+// are sums, so folding chunk by chunk equals one whole-list fold.
+func (s *Stats) add(r domainResult) {
+	s.DomainsScanned++
+	s.QueriesIssued += r.queries
+	s.SubdomainsSeen += r.summary.SubdomainsSeen
+	if r.summary.AXFRWorked {
+		s.AXFRSuccesses++
+	}
+	s.CloudSubdomains += len(r.obs)
+}
+
+// scan runs scanDomain over names, the domains [base, base+len(names))
+// of a ranked list of total domains, fanned out over cfg.Par. The
+// brute-force resolver assignment and the chaos phase are functions of
+// a domain's global index, not of the shard or chunk, so a chunked scan
+// matches the whole-list scan byte for byte. It errors only when a
+// worker panics or cfg.Par.Ctx is cancelled.
+func scan(cfg Config, brute, vantages []*dnssrv.Resolver, names []string, base, total int) ([]domainResult, error) {
+	results := make([]domainResult, len(names))
+	if err := parallel.RunAt(cfg.Par, base, len(names), func(sh parallel.Shard) error {
 		for i := sh.Lo; i < sh.Hi; i++ {
-			// Brute-force resolver assignment stays a function of the
-			// domain index, not the shard, so results match the legacy
-			// per-domain goroutine loop byte for byte.
-			results[i] = scanDomain(cfg, brute[i%len(brute)], vantages, cfg.Domains[i], i, len(cfg.Domains))
+			results[i-base] = scanDomain(cfg, brute[i%len(brute)], vantages, names[i-base], i, total)
 		}
 		return nil
 	}); err != nil {
 		return nil, err
 	}
-
-	for _, r := range results {
-		ds.Stats.DomainsScanned++
-		ds.Stats.QueriesIssued += r.queries
-		ds.Stats.SubdomainsSeen += r.summary.SubdomainsSeen
-		if r.summary.AXFRWorked {
-			ds.Stats.AXFRSuccesses++
-		}
-		ds.Domains[r.summary.Domain] = r.summary
-		for _, o := range r.obs {
-			ds.Subdomains[o.FQDN] = o
-			ds.ByDomain[o.Domain] = append(ds.ByDomain[o.Domain], o)
-			ds.Stats.CloudSubdomains++
-		}
-	}
-	ds.Stats.SerialProbeTime = cfg.Fabric.Clock().Now().Sub(campaignStart)
-	return ds, nil
+	return results, nil
 }
 
 // scanDomain runs steps 1–4 for one domain. idx/total is the domain's
@@ -258,11 +277,7 @@ func Build(cfg Config) (*Dataset, error) {
 // of (domain, vantage, phase), never of scheduling, so scans compose
 // identically at any worker count; completeness counts merge through
 // the commutative accumulator for the same reason.
-func scanDomain(cfg Config, bruteRV *dnssrv.Resolver, vantages []*dnssrv.Resolver, domain string, idx, total int) (r struct {
-	summary *DomainSummary
-	obs     []*Observation
-	queries int64
-}) {
+func scanDomain(cfg Config, bruteRV *dnssrv.Resolver, vantages []*dnssrv.Resolver, domain string, idx, total int) (r domainResult) {
 	r.summary = &DomainSummary{Domain: domain}
 	phase := float64(idx) / float64(total)
 

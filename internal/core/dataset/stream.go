@@ -12,7 +12,6 @@ import (
 
 	"cloudscope/internal/core/dataset/diskfmt"
 	"cloudscope/internal/dnssrv"
-	"cloudscope/internal/parallel"
 )
 
 // StreamConfig parameterizes a spill-to-disk streaming build.
@@ -93,39 +92,18 @@ func (b *StreamBuilder) AddChunk(names []string) error {
 		b.Close()
 		return fmt.Errorf("dataset: chunk overruns Total (%d + %d > %d)", b.next, len(names), b.cfg.Total)
 	}
-	type domainResult struct {
-		summary *DomainSummary
-		obs     []*Observation
-		queries int64
-	}
-	base := b.next
-	results := make([]domainResult, len(names))
-	if err := parallel.RunAt(b.cfg.Par, base, len(names), func(sh parallel.Shard) error {
-		for i := sh.Lo; i < sh.Hi; i++ {
-			// Global index i out of Total: resolver assignment and
-			// chaos phase match the whole-list scan exactly.
-			results[i-base] = scanDomain(b.cfg.Config, b.brute[i%len(b.brute)], b.vantages, names[i-base], i, b.cfg.Total)
-		}
-		return nil
-	}); err != nil {
+	results, err := scan(b.cfg.Config, b.brute, b.vantages, names, b.next, b.cfg.Total)
+	if err != nil {
 		b.Close()
 		return err
 	}
 	b.next += len(names)
 
-	// Fold stats in rank order (commutative sums, so chunk-at-a-time
-	// equals Build's whole-slice fold) and render the spill records.
 	recs := make([]diskfmt.Record, 0, 2*len(results))
 	for _, r := range results {
-		b.stats.DomainsScanned++
-		b.stats.QueriesIssued += r.queries
-		b.stats.SubdomainsSeen += r.summary.SubdomainsSeen
-		if r.summary.AXFRWorked {
-			b.stats.AXFRSuccesses++
-		}
+		b.stats.add(r)
 		recs = append(recs, diskfmt.Record{Tag: diskfmt.TagDomain, Key: r.summary.Domain, Payload: []byte(renderDomainLine(r.summary))})
 		for _, o := range r.obs {
-			b.stats.CloudSubdomains++
 			recs = append(recs, diskfmt.Record{Tag: diskfmt.TagSub, Key: o.FQDN, Payload: []byte(renderObservation(o))})
 		}
 	}

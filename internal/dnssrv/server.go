@@ -160,17 +160,6 @@ func (r *Registry) Authoritative(name string) (origin string, ips []netaddr.IP, 
 	}
 }
 
-// Origins returns all delegated origins (unordered).
-func (r *Registry) Origins() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.delegations))
-	for o := range r.delegations {
-		out = append(out, o)
-	}
-	return out
-}
-
 // Deploy registers server at each ip on the fabric and delegates each of
 // its zones in the registry. It is the one-call way generators publish a
 // zone into the simulated DNS.

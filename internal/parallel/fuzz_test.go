@@ -23,7 +23,7 @@ func FuzzMergeShards(f *testing.F) {
 		if n < 0 || n > 5000 || shardSize > 10000 || workers < 0 || workers > 32 {
 			t.Skip()
 		}
-		shards := Shards(n, shardSize)
+		shards := shardsAt(0, n, shardSize)
 		opt := Options{Workers: workers, ShardSize: shardSize}
 		got, err := MapShards(opt, n, func(sh Shard) ([]int, error) {
 			if sh.Index == failShard {

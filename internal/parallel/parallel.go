@@ -68,12 +68,12 @@ type Shard struct {
 // Len returns the number of items in the shard.
 func (s Shard) Len() int { return s.Hi - s.Lo }
 
-// DefaultShardSize returns the shard granularity used when Options
+// defaultShardSize returns the shard granularity used when Options
 // leaves ShardSize zero: input split into at most 64 shards, but
 // never shards smaller than 16 items. It is a pure function of n so
 // the layout (and any per-shard random stream) is identical on every
 // machine and at every worker count.
-func DefaultShardSize(n int) int {
+func defaultShardSize(n int) int {
 	size := (n + 63) / 64
 	if size < 16 {
 		size = 16
@@ -81,24 +81,18 @@ func DefaultShardSize(n int) int {
 	return size
 }
 
-// Shards computes the deterministic layout for n items. shardSize <= 0
-// selects DefaultShardSize(n).
-func Shards(n, shardSize int) []Shard {
-	return ShardsAt(0, n, shardSize)
-}
-
-// ShardsAt computes the layout for the n items [base, base+n): shard
-// Lo/Hi are global indices, while Index and the shard boundaries are
-// the same pure function of n as Shards. Chunked stages use it so a
-// chunk's items keep their global positions (rank-indexed resolver
-// assignment, phase computation) regardless of how the stream was cut
-// into chunks.
-func ShardsAt(base, n, shardSize int) []Shard {
+// shardsAt computes the deterministic layout for the n items
+// [base, base+n): shard Lo/Hi are global indices, while Index and the
+// shard boundaries are a pure function of n alone, so a chunk's items
+// keep their global positions (rank-indexed resolver assignment, phase
+// computation) regardless of how the stream was cut into chunks.
+// shardSize <= 0 selects defaultShardSize(n).
+func shardsAt(base, n, shardSize int) []Shard {
 	if n <= 0 {
 		return nil
 	}
 	if shardSize <= 0 {
-		shardSize = DefaultShardSize(n)
+		shardSize = defaultShardSize(n)
 	}
 	shards := make([]Shard, 0, (n+shardSize-1)/shardSize)
 	for lo := 0; lo < n; lo += shardSize {
@@ -138,7 +132,7 @@ func Run(opt Options, n int, fn func(Shard) error) error {
 // Lo/Hi carry the global offset. It is the chunk-granular entry point
 // for streaming stages that process a window of a larger logical input.
 func RunAt(opt Options, base, n int, fn func(Shard) error) error {
-	shards := ShardsAt(base, n, opt.ShardSize)
+	shards := shardsAt(base, n, opt.ShardSize)
 	workers := opt.WorkerCount()
 	if workers > len(shards) {
 		workers = len(shards)
@@ -241,7 +235,7 @@ func ctxErr(ctx context.Context) error {
 // per-shard slices in shard order. Each shard's result lands in its
 // layout position, so output order is independent of scheduling.
 func MapShards[R any](opt Options, n int, fn func(Shard) ([]R, error)) ([]R, error) {
-	shards := Shards(n, opt.ShardSize)
+	shards := shardsAt(0, n, opt.ShardSize)
 	outs := make([][]R, len(shards))
 	err := Run(opt, n, func(sh Shard) error {
 		rs, err := fn(sh)

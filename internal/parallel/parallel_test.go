@@ -29,23 +29,23 @@ func TestShardsLayout(t *testing.T) {
 		{100, 1000, 1},
 	}
 	for _, c := range cases {
-		shards := Shards(c.n, c.size)
+		shards := shardsAt(0, c.n, c.size)
 		if len(shards) != c.wantShards {
-			t.Errorf("Shards(%d, %d): got %d shards, want %d", c.n, c.size, len(shards), c.wantShards)
+			t.Errorf("shardsAt(0, %d, %d): got %d shards, want %d", c.n, c.size, len(shards), c.wantShards)
 		}
 		// Layout must tile [0, n) exactly, in order.
 		next := 0
 		for i, sh := range shards {
 			if sh.Index != i {
-				t.Errorf("Shards(%d, %d)[%d].Index = %d", c.n, c.size, i, sh.Index)
+				t.Errorf("shardsAt(0, %d, %d)[%d].Index = %d", c.n, c.size, i, sh.Index)
 			}
 			if sh.Lo != next || sh.Hi <= sh.Lo || sh.Hi > c.n {
-				t.Errorf("Shards(%d, %d)[%d] = [%d,%d), want lo=%d", c.n, c.size, i, sh.Lo, sh.Hi, next)
+				t.Errorf("shardsAt(0, %d, %d)[%d] = [%d,%d), want lo=%d", c.n, c.size, i, sh.Lo, sh.Hi, next)
 			}
 			next = sh.Hi
 		}
 		if len(shards) > 0 && next != c.n {
-			t.Errorf("Shards(%d, %d) covers [0,%d), want [0,%d)", c.n, c.size, next, c.n)
+			t.Errorf("shardsAt(0, %d, %d) covers [0,%d), want [0,%d)", c.n, c.size, next, c.n)
 		}
 	}
 }
@@ -53,10 +53,10 @@ func TestShardsLayout(t *testing.T) {
 // TestShardsIndependentOfWorkers is the determinism keystone: the
 // layout must not consult the worker count or GOMAXPROCS.
 func TestShardsIndependentOfWorkers(t *testing.T) {
-	ref := Shards(5000, 0)
+	ref := shardsAt(0, 5000, 0)
 	old := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(old)
-	got := Shards(5000, 0)
+	got := shardsAt(0, 5000, 0)
 	if len(got) != len(ref) {
 		t.Fatalf("shard layout changed with GOMAXPROCS: %d vs %d shards", len(got), len(ref))
 	}

@@ -7,7 +7,6 @@ package probes
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -207,18 +206,4 @@ func FormatTraceroute(hops []wan.Hop) string {
 		fmt.Fprintf(&b, "%2d  %-16s %8.2f ms  %s\n", i+1, h.IP, h.RTT, wan.Whois(h.ASN))
 	}
 	return b.String()
-}
-
-// SummarizeRTTs renders min/median/max of a sample set.
-func SummarizeRTTs(samples []time.Duration) string {
-	if len(samples) == 0 {
-		return "no samples"
-	}
-	ms := make([]float64, len(samples))
-	for i, s := range samples {
-		ms[i] = float64(s) / float64(time.Millisecond)
-	}
-	sort.Float64s(ms)
-	return fmt.Sprintf("min %.2f ms / median %.2f ms / max %.2f ms (%d probes)",
-		ms[0], ms[len(ms)/2], ms[len(ms)-1], len(ms))
 }

@@ -86,10 +86,6 @@ func TestTCPPing(t *testing.T) {
 	if err != nil || len(samples) != 10 {
 		t.Fatalf("err=%v n=%d", err, len(samples))
 	}
-	sum := SummarizeRTTs(samples)
-	if !strings.Contains(sum, "10 probes") {
-		t.Fatalf("summary: %s", sum)
-	}
 	if _, err := p.TCPPing(src, 12345, 3); err == nil {
 		t.Fatal("ping to nonexistent instance succeeded")
 	}

@@ -10,10 +10,11 @@
 //     /admin/reload, so a bumped epoch discards the old cache by
 //     construction and a request always answers from exactly one
 //     epoch (the one it captured at admission).
-//   - The cache keys on (endpoint, sorted params); the epoch is
-//     implicit in which state owns the map. Only 200 responses are
-//     cached, and a build aborted by cancellation leaves the slot
-//     empty for the next request to retry (single-flight per key).
+//   - The cache keys on the endpoint and the parameters it reads; the
+//     epoch is implicit in which state owns the map. Only 200
+//     responses and parameter errors are cached, and a build aborted
+//     by cancellation leaves the slot empty for the next request to
+//     retry (single-flight per key).
 //   - Admission control: a global bounded queue (429 when full — the
 //     client should back off) and a per-endpoint concurrency limit
 //     (503 when the wait exceeds the queue timeout — the server is
@@ -31,7 +32,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/url"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -58,10 +58,6 @@ type Config struct {
 	// concurrent builds saturate the CPU; cached answers are so cheap
 	// the limit never binds on them.
 	EndpointConcurrency int
-	// RequestSpans records a serve/<endpoint> span per request in the
-	// serve tracer. Off by default: spans accumulate memory for the
-	// daemon's lifetime, which a long-running server cannot afford.
-	RequestSpans bool
 }
 
 func (c Config) withDefaults() Config {
@@ -189,58 +185,50 @@ type httpError struct {
 
 func (e *httpError) Error() string { return e.msg }
 
-// endpoint is one /v1/* route: a name and a payload builder.
+// endpoint is one /v1/* route: a name, the query parameters its
+// builder reads, and a payload builder.
 type endpoint struct {
-	name  string
-	build func(ctx context.Context, study *cloudscope.Study, q url.Values) (any, error)
+	name   string
+	params []string
+	build  func(ctx context.Context, study *cloudscope.Study, q url.Values) (any, error)
 }
 
 var endpoints = []endpoint{
-	{"patterns", func(ctx context.Context, st *cloudscope.Study, _ url.Values) (any, error) {
+	{"patterns", nil, func(ctx context.Context, st *cloudscope.Study, _ url.Values) (any, error) {
 		return api.Patterns(ctx, st)
 	}},
-	{"regions", func(ctx context.Context, st *cloudscope.Study, _ url.Values) (any, error) {
+	{"regions", nil, func(ctx context.Context, st *cloudscope.Study, _ url.Values) (any, error) {
 		return api.Regions(ctx, st)
 	}},
-	{"zones", func(ctx context.Context, st *cloudscope.Study, _ url.Values) (any, error) {
+	{"zones", nil, func(ctx context.Context, st *cloudscope.Study, _ url.Values) (any, error) {
 		return api.Zones(ctx, st)
 	}},
-	{"domain", func(ctx context.Context, st *cloudscope.Study, q url.Values) (any, error) {
+	{"domain", []string{"name"}, func(ctx context.Context, st *cloudscope.Study, q url.Values) (any, error) {
 		name := q.Get("name")
 		if name == "" {
 			return nil, &httpError{http.StatusBadRequest, "missing required parameter: name"}
 		}
 		return api.Domain(ctx, st, name)
 	}},
-	{"wanperf", func(ctx context.Context, st *cloudscope.Study, _ url.Values) (any, error) {
+	{"wanperf", nil, func(ctx context.Context, st *cloudscope.Study, _ url.Values) (any, error) {
 		return api.WANPerf(ctx, st)
 	}},
-	{"outage", func(ctx context.Context, st *cloudscope.Study, q url.Values) (any, error) {
+	{"outage", []string{"region"}, func(ctx context.Context, st *cloudscope.Study, q url.Values) (any, error) {
 		return api.Outage(ctx, st, q.Get("region"))
 	}},
-	{"completeness", func(_ context.Context, st *cloudscope.Study, _ url.Values) (any, error) {
+	{"completeness", nil, func(_ context.Context, st *cloudscope.Study, _ url.Values) (any, error) {
 		return api.CompletenessReport(st), nil
 	}},
 }
 
-// cacheKey canonicalizes the query so parameter order cannot split the
-// cache.
-func cacheKey(name string, q url.Values) string {
-	if len(q) == 0 {
-		return name
-	}
-	keys := make([]string, 0, len(q))
-	for k := range q {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	key := name
-	for _, k := range keys {
-		vs := append([]string(nil), q[k]...)
-		sort.Strings(vs)
-		for _, v := range vs {
-			key += "&" + k + "=" + v
-		}
+// cacheKey keys the query on exactly what the builder sees: the first
+// value (q.Get) of each parameter the endpoint reads. Repeated values
+// and parameters the endpoint ignores cannot change the answer, so
+// they neither split the cache nor share another query's entry.
+func (ep endpoint) cacheKey(q url.Values) string {
+	key := ep.name
+	for _, p := range ep.params {
+		key += "&" + p + "=" + q.Get(p)
 	}
 	return key
 }
@@ -297,12 +285,6 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, ep endpoint)
 	reg.Gauge("serve.inflight").Add(1)
 	defer reg.Gauge("serve.inflight").Add(-1)
 
-	var sp *telemetry.Span
-	if s.cfg.RequestSpans {
-		sp = s.tel.StartSpan("serve/" + ep.name)
-		defer sp.End()
-	}
-
 	// The request answers from exactly the epoch it captured here; a
 	// concurrent reload swaps the pointer for *later* requests.
 	st := s.state.Load()
@@ -324,7 +306,7 @@ var latencyBounds = []float64{0.1, 0.25, 0.5, 1, 2.5, 5, 10, 25, 50, 100, 250, 5
 // answer resolves one query against one epoch, through its cache.
 func (s *Server) answer(ctx context.Context, st *epochState, ep endpoint, q url.Values) (int, []byte) {
 	reg := s.tel.Registry()
-	e := st.entry(cacheKey(ep.name, q))
+	e := st.entry(ep.cacheKey(q))
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.done {

@@ -402,3 +402,45 @@ func TestReloadValidation(t *testing.T) {
 		t.Fatalf("failed reloads bumped epoch to %d", srv.Epoch())
 	}
 }
+
+// TestCacheKeyFollowsBuilderParams: the cache keys on exactly what the
+// builder reads. A repeated name answers its first value whichever
+// order the values come in, and a parameter no builder reads is a
+// cache hit on the bare query rather than a new entry.
+func TestCacheKeyFollowsBuilderParams(t *testing.T) {
+	srv, ts := newTestServer(t, Config{Study: testStudyConfig()})
+	domainOf := func(query string) string {
+		t.Helper()
+		status, body := get(t, ts.URL+"/v1/domain?"+query)
+		if status != http.StatusOK {
+			t.Fatalf("domain?%s -> %d: %s", query, status, body)
+		}
+		var env envelope
+		if err := json.Unmarshal(body, &env); err != nil {
+			t.Fatal(err)
+		}
+		var d struct {
+			Domain string `json:"domain"`
+		}
+		if err := json.Unmarshal(env.Data, &d); err != nil {
+			t.Fatal(err)
+		}
+		return d.Domain
+	}
+	for _, c := range []struct{ query, want string }{
+		{"name=b.example&name=a.example", "b.example"},
+		{"name=a.example&name=b.example", "a.example"},
+	} {
+		if got := domainOf(c.query); got != c.want {
+			t.Errorf("domain?%s answered %q, want %q", c.query, got, c.want)
+		}
+	}
+
+	hits := srv.Telemetry().Registry().Counter("serve.cache_hits")
+	get(t, ts.URL+"/v1/patterns")
+	before := hits.Value()
+	get(t, ts.URL+"/v1/patterns?junk=1")
+	if got := hits.Value(); got != before+1 {
+		t.Fatalf("patterns?junk=1 missed the cache (hits %d -> %d)", before, got)
+	}
+}

@@ -206,17 +206,6 @@ func (s *Span) AllocObjects() uint64 {
 	return s.allocO
 }
 
-// StartOffset returns the span's start relative to the tracer's epoch
-// (the first span's start) — the trace-export timestamp origin.
-func (s *Span) StartOffset() time.Duration {
-	if s == nil {
-		return 0
-	}
-	s.tr.mu.Lock()
-	defer s.tr.mu.Unlock()
-	return s.start.Sub(s.tr.epoch)
-}
-
 // AddStat accumulates delta into the span's named statistic.
 // Instrumented layers use it to charge per-stage facts (shard counts,
 // queue waits) to the span that covers them; stats appear in the flame

@@ -13,7 +13,6 @@ package tlswire
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 
 	"cloudscope/internal/der"
 )
@@ -226,15 +225,4 @@ func CertificateCN(data []byte) (string, bool) {
 		return "", false
 	}
 	return der.FindString(tlv.Value, der.OIDCommonName)
-}
-
-// String helpers for debugging traces.
-func RecordName(contentType byte) string {
-	switch contentType {
-	case RecordHandshake:
-		return "handshake"
-	case RecordApplicationData:
-		return "application-data"
-	}
-	return fmt.Sprintf("type%d", contentType)
 }

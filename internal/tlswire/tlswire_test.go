@@ -111,9 +111,3 @@ func TestMultipleRecordsSequential(t *testing.T) {
 		t.Fatalf("cn=%q ok=%v", cn, ok)
 	}
 }
-
-func TestRecordName(t *testing.T) {
-	if RecordName(22) != "handshake" || RecordName(23) != "application-data" || RecordName(9) != "type9" {
-		t.Fatal("RecordName wrong")
-	}
-}

@@ -305,9 +305,7 @@ func (m *Model) SimulateOutages(bestOrder []string, maxK, trials int, seed int64
 	res := OutageResult{Trials: trials, MeanUnreachable: map[int]float64{}}
 	for k := 1; k <= maxK && k <= len(bestOrder); k++ {
 		regions := bestOrder[:k]
-		shards := parallel.Shards(trials, par.ShardSize)
-		sums := make([]float64, len(shards))
-		if err := parallel.Run(par, trials, func(sh parallel.Shard) error {
+		sums, err := parallel.MapShards(par, trials, func(sh parallel.Shard) ([]float64, error) {
 			// Each trial draws from its own seed-derived stream, so
 			// shard boundaries and worker count cannot shift outcomes.
 			sum := 0.0
@@ -335,9 +333,9 @@ func (m *Model) SimulateOutages(bestOrder []string, maxK, trials int, seed int64
 				}
 				sum += float64(cut) / float64(len(m.Clients))
 			}
-			sums[sh.Index] = sum
-			return nil
-		}); err != nil {
+			return []float64{sum}, nil
+		})
+		if err != nil {
 			return OutageResult{}, err
 		}
 		// Fold per-shard partial sums in shard order so float addition
