@@ -48,9 +48,11 @@ bench:
 
 # The query daemon end to end under the race detector: a cloudscoped
 # server on a random port, a tiny seeded cloudload mix, zero request
-# errors, and a parseable /metrics document.
+# errors, and a parseable /metrics document; then concurrent asks for
+# unknown names and regions, which must leave the result cache's size
+# unchanged.
 serve-smoke:
-	$(GO) test -race -count=1 -run 'TestServeSmoke' ./internal/serve
+	$(GO) test -race -count=1 -run 'TestServeSmoke|TestCacheBoundedByWorld' ./internal/serve
 
 # Regenerate every table and figure of the paper.
 experiments:

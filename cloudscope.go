@@ -443,7 +443,7 @@ func (s *Study) DatasetContext(ctx context.Context) (*dataset.Dataset, error) {
 			names = append(names, d.Name)
 		}
 		opt := s.opts(ctx, "dataset")
-		dcfg := dataset.Config{
+		ds, err := dataset.Build(dataset.Config{
 			Fabric:       w.Fabric,
 			Registry:     w.Registry,
 			Ranges:       w.Ranges,
@@ -453,17 +453,7 @@ func (s *Study) DatasetContext(ctx context.Context) (*dataset.Dataset, error) {
 			Metrics:      s.dnsMetrics,
 			Chaos:        opt.Chaos,
 			Completeness: opt.Completeness,
-		}
-		if s.eng != nil {
-			// Under chaos the pipeline hardens: retries with backoff,
-			// a generous per-domain budget so pathological domains
-			// cannot stall the crawl, and a per-vantage breaker.
-			dcfg.Backoff = dnssrv.Backoff{MaxAttempts: 6, Base: 100 * time.Millisecond, Max: 2 * time.Second}
-			dcfg.MaxQueriesPerDomain = 4096
-			dcfg.DomainDeadline = 10 * time.Minute
-			dcfg.BreakerFailures = 4
-		}
-		ds, err := dataset.Build(dcfg)
+		})
 		if err != nil {
 			// The aborted crawl advanced the world's query state (the
 			// simulated clock, ELB round-robin rotations), so a retry on

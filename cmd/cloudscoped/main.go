@@ -74,10 +74,8 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Fprintf(os.Stderr, "cloudscoped: serving on http://%s (epoch %d, seed %d, %d domains)\n",
-		ln.Addr(), srv.Epoch(), cfg.Seed, cfg.Domains)
-
 	if *warm {
+		fmt.Fprintf(os.Stderr, "cloudscoped: warming world + dataset; will serve on http://%s\n", ln.Addr())
 		start := time.Now()
 		if err := srv.Warm(context.Background()); err != nil {
 			fatal(err)
@@ -94,6 +92,8 @@ func main() {
 		defer cancel()
 		httpSrv.Shutdown(shutCtx)
 	}()
+	fmt.Fprintf(os.Stderr, "cloudscoped: serving on http://%s (epoch %d, seed %d, %d domains)\n",
+		ln.Addr(), srv.Epoch(), cfg.Seed, cfg.Domains)
 	if err := httpSrv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		fatal(err)
 	}

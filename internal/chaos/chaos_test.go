@@ -280,7 +280,6 @@ func TestEngineAgainstResolver(t *testing.T) {
 	}
 
 	fabric.SetInterceptor(New(mustParse(t, "servfail,p=1"), 1))
-	rv.FlushCache()
 	if _, err := rv.Query("www.example.com", dnswire.TypeA); !errors.Is(err, dnssrv.ErrServFail) {
 		t.Fatalf("query under total SERVFAIL err = %v", err)
 	}

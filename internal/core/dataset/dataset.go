@@ -8,7 +8,12 @@
 //  3. resolve every discovered subdomain once and keep those whose
 //     records contain an address inside the published cloud ranges;
 //  4. re-resolve the cloud-using subdomains from every vantage point
-//     (cache flushed, recursion off) to capture geo-dependent records.
+//     to capture geo-dependent records.
+//
+// Every query goes straight to the authoritative servers with recursion
+// off and nothing cached (see dnssrv.Resolver), as the study's dig
+// calls did. Under chaos the crawl hardens itself: retries with
+// backoff, a per-domain probe budget and a per-vantage circuit breaker.
 //
 // The pipeline sees only what a real measurer saw: DNS messages and the
 // published range lists. Ground truth from the generator is never
@@ -140,26 +145,32 @@ type Config struct {
 	// Chaos, when set, injects campaign-level faults: vantage points go
 	// dark for stretches of the scan and their work is skipped and
 	// accounted. Wire-level faults (loss, SERVFAIL bursts) arrive
-	// through the fabric's interceptor, not here.
+	// through the fabric's interceptor, not here. A set Chaos also
+	// hardens the crawl against those faults (see the package doc).
 	Chaos *chaos.Engine
 	// Completeness, when set, receives per-vantage
 	// attempted/succeeded/retried/abandoned accounting under stages
 	// "dataset" (re-resolution vantages) and "dataset/brute".
 	Completeness *telemetry.Completeness
-	// Backoff configures retries on every resolver the pipeline creates;
-	// the zero value keeps the legacy single-pass semantics.
-	Backoff dnssrv.Backoff
-	// MaxQueriesPerDomain and DomainDeadline bound each domain scan's
-	// probe budget (0 = unlimited). An exhausted budget abandons the
+}
+
+// The crawl's hardening under chaos. A fault-free crawl asks each
+// authoritative server once per question with no budget or breaker.
+var (
+	// chaosBackoff retries a failed question across the delegation's
+	// servers, up to six attempts with jittered exponential backoff.
+	chaosBackoff = dnssrv.Backoff{MaxAttempts: 6, Base: 100 * time.Millisecond, Max: 2 * time.Second}
+	// chaosBudget bounds each domain scan generously, so pathological
+	// domains cannot stall the crawl. An exhausted budget abandons the
 	// rest of that domain's queries; the dataset stays valid, just
 	// partial, and Completeness says by how much.
-	MaxQueriesPerDomain int64
-	DomainDeadline      time.Duration
-	// BreakerFailures trips a per-vantage circuit breaker within one
-	// domain scan: after this many consecutive failed lookups the
-	// vantage sits out the rest of that scan (0 disables).
-	BreakerFailures int
-}
+	chaosBudget = dnssrv.Budget{MaxQueries: 4096, Deadline: 10 * time.Minute}
+)
+
+// chaosBreakerTrip is where the per-vantage circuit breaker trips
+// within one domain scan: after this many consecutive failed lookups
+// the vantage sits out the rest of that scan.
+const chaosBreakerTrip = 4
 
 // vantageIP derives the i-th vantage's source address.
 func vantageIP(i int) netaddr.IP {
@@ -188,16 +199,17 @@ func (cfg *Config) normalize() {
 const bruteNodes = 150
 
 // resolverPool builds n shared discovery resolvers, the i-th sourced
-// from vantageIP(i). Resolvers are safe for concurrent use and, with
-// NoRecurse set, stateless between queries, so Build and StreamBuilder
-// construct their brute-force and re-resolution pools once each.
+// from vantageIP(i). Resolvers are stateless between queries, so Build
+// and StreamBuilder construct their brute-force and re-resolution pools
+// once each.
 func resolverPool(cfg Config, n int) []*dnssrv.Resolver {
 	pool := make([]*dnssrv.Resolver, n)
 	for i := range pool {
 		pool[i] = dnssrv.NewResolver(cfg.Fabric, cfg.Registry, vantageIP(i))
-		pool[i].NoRecurse = true
 		pool[i].Metrics = cfg.Metrics
-		pool[i].Backoff = cfg.Backoff
+		if cfg.Chaos != nil {
+			pool[i].Backoff = chaosBackoff
+		}
 	}
 	return pool
 }
@@ -283,8 +295,9 @@ func scanDomain(cfg Config, bruteRV *dnssrv.Resolver, vantages []*dnssrv.Resolve
 
 	// Per-scan probe budget, shared by every step of this domain.
 	var budget *dnssrv.Budget
-	if cfg.MaxQueriesPerDomain > 0 || cfg.DomainDeadline > 0 {
-		budget = &dnssrv.Budget{MaxQueries: cfg.MaxQueriesPerDomain, Deadline: cfg.DomainDeadline}
+	if cfg.Chaos != nil {
+		b := chaosBudget
+		budget = &b
 	}
 	var bstats telemetry.Counts
 	bruteRV = bruteRV.ForUnit("dataset/"+domain, budget, &bstats)
@@ -345,12 +358,7 @@ func scanDomain(cfg Config, bruteRV *dnssrv.Resolver, vantages []*dnssrv.Resolve
 		seenRR := map[string]bool{}
 		seenIP := map[netaddr.IP]bool{}
 		for vi, rv := range vantages {
-			if cfg.Chaos.VantageOut(vantageLabel(vi), phase) {
-				vstats[vi].Attempted++
-				vstats[vi].Abandoned++
-				continue
-			}
-			if cfg.BreakerFailures > 0 && fails[vi] >= cfg.BreakerFailures {
+			if cfg.Chaos.VantageOut(vantageLabel(vi), phase) || (cfg.Chaos != nil && fails[vi] >= chaosBreakerTrip) {
 				vstats[vi].Attempted++
 				vstats[vi].Abandoned++
 				continue

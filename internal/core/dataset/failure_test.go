@@ -3,7 +3,6 @@ package dataset
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"cloudscope/internal/chaos"
 	"cloudscope/internal/deploy"
@@ -96,19 +95,24 @@ func buildFaulted(w *deploy.World, workers int, eng *chaos.Engine, comp *telemet
 	return must(Build(Config{
 		Fabric: w.Fabric, Registry: w.Registry, Ranges: w.Ranges,
 		Domains: names, Vantages: 8, Par: parallel.Options{Workers: workers},
-		Chaos:           eng,
-		Completeness:    comp,
-		Backoff:         dnssrv.Backoff{MaxAttempts: 4, Base: 50 * time.Millisecond, Max: time.Second},
-		BreakerFailures: 4,
+		Chaos:        eng,
+		Completeness: comp,
 	}))
 }
 
+// TestBuildUnderLossWorkerInvariant runs the hardened crawl — retries,
+// breaker and budget — against wire loss drawn by a chaos engine.
 func TestBuildUnderLossWorkerInvariant(t *testing.T) {
+	sc, err := chaos.Parse("loss,p=0.15")
+	if err != nil {
+		t.Fatal(err)
+	}
 	run := func(workers int) (string, string) {
 		w := freshWorld()
-		w.Fabric.SetLoss(0.15, 7)
+		eng := chaos.New(sc, 7)
+		w.Fabric.SetInterceptor(eng)
 		comp := telemetry.NewCompleteness()
-		ds := buildFaulted(w, workers, nil, comp)
+		ds := buildFaulted(w, workers, eng, comp)
 		return datasetBytes(t, ds), comp.Report()
 	}
 	goldenDS, goldenComp := run(1)
@@ -148,6 +152,60 @@ func TestBuildChaosWorkerInvariant(t *testing.T) {
 		if comp != goldenComp {
 			t.Errorf("completeness differs at Workers=%d under chaos:\n%s\nvs\n%s", workers, comp, goldenComp)
 		}
+	}
+}
+
+// TestBuildHardensOnlyUnderChaos pins where the crawl's hardening
+// policy applies: with every answer a SERVFAIL, a crawl given
+// Config.Chaos retries each question up to chaosBackoff.MaxAttempts,
+// while a crawl without it asks each authoritative server once.
+func TestBuildHardensOnlyUnderChaos(t *testing.T) {
+	sc, err := chaos.Parse("servfail,p=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// attemptsPerQuestion returns wire attempts per question and the
+	// largest delegation among the scanned domains.
+	attemptsPerQuestion := func(hardened bool) (float64, int) {
+		w := freshWorld()
+		eng := chaos.New(sc, 1)
+		w.Fabric.SetInterceptor(eng)
+		names := make([]string, 0, 20)
+		maxServers := 0
+		for _, d := range w.Domains[:20] {
+			names = append(names, d.Name)
+			_, servers, _ := w.Registry.Authoritative(d.Name)
+			maxServers = max(maxServers, len(servers))
+		}
+		reg := telemetry.NewRegistry()
+		cfg := Config{
+			Fabric: w.Fabric, Registry: w.Registry, Ranges: w.Ranges,
+			Domains: names, Wordlist: []string{"www", "m", "cdn"}, Vantages: 4,
+			Metrics: dnssrv.NewResolverMetrics(reg),
+		}
+		if hardened {
+			cfg.Chaos = eng
+		}
+		ds := must(Build(cfg))
+		if ds.Stats.CloudSubdomains != 0 {
+			t.Fatalf("hardened=%v: %d cloud subdomains found through total SERVFAIL", hardened, ds.Stats.CloudSubdomains)
+		}
+		snap := reg.Snapshot()
+		q := snap.Counter("dns.queries")
+		if q == 0 {
+			t.Fatalf("hardened=%v: no wire queries", hardened)
+		}
+		return float64(q+snap.Counter("dns.retries")) / float64(q), maxServers
+	}
+	plain, maxServers := attemptsPerQuestion(false)
+	if maxServers >= chaosBackoff.MaxAttempts {
+		t.Fatalf("a delegation has %d servers; the test needs fewer than %d", maxServers, chaosBackoff.MaxAttempts)
+	}
+	if plain > float64(maxServers) {
+		t.Errorf("without Chaos: %.2f attempts per question, more than the %d servers of the largest delegation", plain, maxServers)
+	}
+	if hardened, _ := attemptsPerQuestion(true); hardened != float64(chaosBackoff.MaxAttempts) {
+		t.Errorf("with Chaos: %.2f attempts per question, want %d", hardened, chaosBackoff.MaxAttempts)
 	}
 }
 

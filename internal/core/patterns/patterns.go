@@ -317,11 +317,10 @@ func AnalyzeNSPar(ds *dataset.Dataset, fabric *simnet.Fabric, registry *dnssrv.R
 	resolvers := make([]*dnssrv.Resolver, vantages)
 	for i := range resolvers {
 		resolvers[i] = dnssrv.NewResolver(fabric, registry, netaddr.MustParseIP("194.9.0.0")+netaddr.IP(i*17+3))
-		resolvers[i].NoRecurse = true
 		resolvers[i].Metrics = m
 	}
-	// Fan out the per-domain NS lookups (NoRecurse resolvers carry no
-	// per-query state, so one resolver serves all workers).
+	// Fan out the per-domain NS lookups (resolvers carry no per-query
+	// state, so one resolver serves all workers).
 	domains := ds.CloudDomains()
 	nsLists, err := parallel.Map(opt, domains, func(_ int, domain string) ([]string, error) {
 		names, err := resolvers[0].LookupNS(domain)

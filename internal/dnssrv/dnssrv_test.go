@@ -163,37 +163,39 @@ func TestDynamicGeoAnswer(t *testing.T) {
 	}
 }
 
-func TestCacheHitAndFlush(t *testing.T) {
-	fabric, reg, z, _ := testWorld(t)
+// TestLookupsReachAuthorityWithoutRecursion pins the resolver's one
+// mode: every lookup is a fresh wire question with RD=0, so repeated
+// lookups each reach the authoritative server and see its current
+// answer.
+func TestLookupsReachAuthorityWithoutRecursion(t *testing.T) {
+	fabric, _, z, rv := testWorld(t)
 	calls := 0
 	z.SetDynamic("count.example.com", func(src netaddr.IP, qtype dnswire.Type) []dnswire.RR {
 		calls++
-		return []dnswire.RR{{Name: "count.example.com", Type: dnswire.TypeA, Class: dnswire.ClassIN, TTL: 300, IP: 1}}
+		return []dnswire.RR{{Name: "count.example.com", Type: dnswire.TypeA, Class: dnswire.ClassIN, TTL: 300, IP: netaddr.IP(calls)}}
 	})
-	rv := NewResolver(fabric, reg, client)
-	for i := 0; i < 3; i++ {
-		if _, err := rv.LookupA("count.example.com"); err != nil {
+	srv := NewServer(z)
+	fabric.Register(nsIP, simnet.HandlerFunc(func(src, dst netaddr.IP, p []byte) []byte {
+		if q, err := dnswire.Unpack(p); err != nil || q.Header.RecursionDesired {
+			t.Errorf("query asked for recursion (err=%v)", err)
+		}
+		return srv.ServePacket(src, dst, p)
+	}))
+	for i := 1; i <= 3; i++ {
+		chain, err := rv.LookupA("count.example.com")
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if calls != 1 {
-		t.Fatalf("authoritative hit %d times; cache broken", calls)
-	}
-	rv.FlushCache()
-	if _, err := rv.LookupA("count.example.com"); err != nil {
-		t.Fatal(err)
-	}
-	if calls != 2 {
-		t.Fatalf("flush did not force re-query (calls=%d)", calls)
+		if calls != i || chain[0].IP != netaddr.IP(i) {
+			t.Fatalf("lookup %d: authority hit %d times, answer %v", i, calls, chain[0].IP)
+		}
 	}
 }
 
-// TestCacheMetricsDeterministic pins the exact cache-size and hit/miss
-// accounting of a caching resolver: two names resolved twice each, a
-// flush, then one re-resolution. Every number below is forced by the
-// query sequence, so cache-hit metrics are testable without relying on
-// timing or ordering.
-func TestCacheMetricsDeterministic(t *testing.T) {
+// TestResolverMetricsDeterministic pins the wire, rcode and CNAME-chain
+// accounting of two names resolved twice each. Every number below is
+// forced by the query sequence, independent of timing or ordering.
+func TestResolverMetricsDeterministic(t *testing.T) {
 	_, _, _, rv := testWorld(t)
 	reg := telemetry.NewRegistry()
 	rv.Metrics = NewResolverMetrics(reg)
@@ -206,81 +208,17 @@ func TestCacheMetricsDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// www caches 1 key; m caches its own key plus the chased www key
-	// (already present) — 2 distinct keys total.
-	if got := rv.CacheSize(); got != 2 {
-		t.Fatalf("CacheSize = %d, want 2", got)
-	}
 	snap := reg.Snapshot()
-	// The authoritative server chases in-zone CNAMEs, so each name costs
-	// exactly one wire query. Round 1: two misses. Round 2: two hits.
-	if got := snap.Counter("dns.cache.misses"); got != 2 {
-		t.Fatalf("cache misses = %d, want 2", got)
+	// The authoritative server chases in-zone CNAMEs, so each lookup
+	// costs exactly one wire query.
+	if got := snap.Counter("dns.queries"); got != 4 {
+		t.Fatalf("wire queries = %d, want 4", got)
 	}
-	if got := snap.Counter("dns.cache.hits"); got != 2 {
-		t.Fatalf("cache hits = %d, want 2", got)
+	if got := snap.Counter("dns.rcode.noerror"); got != 4 {
+		t.Fatalf("noerror responses = %d, want 4", got)
 	}
-	if got := snap.Gauge("dns.cache.entries"); got != 2 {
-		t.Fatalf("cache entries gauge = %d, want 2", got)
-	}
-	if got := snap.Counter("dns.queries"); got != 2 {
-		t.Fatalf("wire queries = %d, want 2", got)
-	}
-
-	// FlushCache must zero both the resolver's view and the gauge.
-	rv.FlushCache()
-	if got := rv.CacheSize(); got != 0 {
-		t.Fatalf("CacheSize after flush = %d, want 0", got)
-	}
-	if got := reg.Snapshot().Gauge("dns.cache.entries"); got != 0 {
-		t.Fatalf("cache entries gauge after flush = %d, want 0", got)
-	}
-
-	// Re-resolution after the flush is a miss again, not a hit.
-	if _, err := rv.LookupA("www.example.com"); err != nil {
-		t.Fatal(err)
-	}
-	snap = reg.Snapshot()
-	if got := snap.Counter("dns.cache.misses"); got != 3 {
-		t.Fatalf("cache misses after flush = %d, want 3", got)
-	}
-	if got := snap.Counter("dns.rcode.noerror"); got != 3 {
-		t.Fatalf("noerror responses = %d, want 3", got)
-	}
-	if h, ok := snap.Histogram("dns.cname_chain_len"); !ok || h.Count != 5 {
-		t.Fatalf("chain-length histogram = %+v, want 5 observations", h)
-	}
-}
-
-func TestCacheExpiry(t *testing.T) {
-	fabric, reg, z, _ := testWorld(t)
-	calls := 0
-	z.SetDynamic("ttl.example.com", func(src netaddr.IP, qtype dnswire.Type) []dnswire.RR {
-		calls++
-		return []dnswire.RR{{Name: "ttl.example.com", Type: dnswire.TypeA, Class: dnswire.ClassIN, TTL: 10, IP: 1}}
-	})
-	rv := NewResolver(fabric, reg, client)
-	rv.LookupA("ttl.example.com")
-	fabric.Clock().Advance(11 * time.Second)
-	rv.LookupA("ttl.example.com")
-	if calls != 2 {
-		t.Fatalf("expired entry served from cache (calls=%d)", calls)
-	}
-}
-
-func TestNoRecurseBypassesCache(t *testing.T) {
-	fabric, reg, z, _ := testWorld(t)
-	calls := 0
-	z.SetDynamic("nr.example.com", func(src netaddr.IP, qtype dnswire.Type) []dnswire.RR {
-		calls++
-		return []dnswire.RR{{Name: "nr.example.com", Type: dnswire.TypeA, Class: dnswire.ClassIN, TTL: 300, IP: 1}}
-	})
-	rv := NewResolver(fabric, reg, client)
-	rv.NoRecurse = true
-	rv.LookupA("nr.example.com")
-	rv.LookupA("nr.example.com")
-	if calls != 2 {
-		t.Fatalf("NoRecurse used cache (calls=%d)", calls)
+	if h, ok := snap.Histogram("dns.cname_chain_len"); !ok || h.Count != 4 {
+		t.Fatalf("chain-length histogram = %+v, want 4 observations", h)
 	}
 }
 

@@ -2,8 +2,6 @@ package dnssrv
 
 import (
 	"errors"
-	"fmt"
-	"sync"
 	"time"
 
 	"cloudscope/internal/dnswire"
@@ -109,23 +107,15 @@ func (b *Budget) charge(queries int64, d time.Duration) {
 // ResolverMetrics holds a resolver's instrumentation hooks. One
 // ResolverMetrics is typically shared by every resolver of a
 // measurement campaign (the instruments are concurrency-safe), so the
-// counters aggregate across vantage points and CacheEntries tracks the
-// fleet-wide cached-record total. A nil *ResolverMetrics disables
-// accounting.
+// counters aggregate across vantage points. A nil *ResolverMetrics
+// disables accounting.
 type ResolverMetrics struct {
-	// Queries counts questions that reached the wire (cache misses and
-	// uncached queries).
+	// Queries counts questions that reached the wire.
 	Queries *telemetry.Counter
-	// CacheHits / CacheMisses count cache consultations on resolvers
-	// with recursion (caching) enabled.
-	CacheHits   *telemetry.Counter
-	CacheMisses *telemetry.Counter
 	// Retries counts extra server attempts after the first failed.
 	Retries *telemetry.Counter
 	// Failed counts queries that exhausted every authoritative server.
 	Failed *telemetry.Counter
-	// CacheEntries tracks the aggregate number of live cache entries.
-	CacheEntries *telemetry.Gauge
 	// ChainLen is the distribution of CNAME hops per LookupA.
 	ChainLen *telemetry.Histogram
 	// Per-rcode response counts.
@@ -135,17 +125,14 @@ type ResolverMetrics struct {
 // NewResolverMetrics registers the resolver's standard instruments on r.
 func NewResolverMetrics(r *telemetry.Registry) *ResolverMetrics {
 	return &ResolverMetrics{
-		Queries:      r.Counter("dns.queries"),
-		CacheHits:    r.Counter("dns.cache.hits"),
-		CacheMisses:  r.Counter("dns.cache.misses"),
-		Retries:      r.Counter("dns.retries"),
-		Failed:       r.Counter("dns.failed"),
-		CacheEntries: r.Gauge("dns.cache.entries"),
-		ChainLen:     r.Histogram("dns.cname_chain_len", telemetry.SmallCountBuckets),
-		NoError:      r.Counter("dns.rcode.noerror"),
-		NXDomain:     r.Counter("dns.rcode.nxdomain"),
-		Refused:      r.Counter("dns.rcode.refused"),
-		ServFail:     r.Counter("dns.rcode.servfail"),
+		Queries:  r.Counter("dns.queries"),
+		Retries:  r.Counter("dns.retries"),
+		Failed:   r.Counter("dns.failed"),
+		ChainLen: r.Histogram("dns.cname_chain_len", telemetry.SmallCountBuckets),
+		NoError:  r.Counter("dns.rcode.noerror"),
+		NXDomain: r.Counter("dns.rcode.nxdomain"),
+		Refused:  r.Counter("dns.rcode.refused"),
+		ServFail: r.Counter("dns.rcode.servfail"),
 	}
 }
 
@@ -166,22 +153,22 @@ func (m *ResolverMetrics) countRCode(rcode dnswire.RCode) {
 	}
 }
 
-// Resolver resolves names against the simulated DNS from one vantage
-// point. It mirrors the controls the study used with dig: per-query
-// recursion control and an explicitly flushable cache.
+// Resolver asks the simulated DNS's authoritative servers directly from
+// one vantage point, the way the study's dig calls did: recursion off
+// and nothing cached, so every lookup sees the authoritative answer for
+// this source at this moment — geo-dependent and rotating records
+// included. A Resolver without a Budget or Unit holds no mutable state,
+// so one instance serves concurrent lookups.
 type Resolver struct {
 	Fabric   *simnet.Fabric
 	Registry *Registry
-	// Metrics, when set, receives query/cache/rcode accounting. Set it
+	// Metrics, when set, receives query/retry/rcode accounting. Set it
 	// before the resolver is used; it may be shared across resolvers.
 	Metrics *ResolverMetrics
 	// Source is the IP queries originate from. Authoritative servers see
 	// it and may answer geo-dependently, so two resolvers with different
 	// sources can legitimately receive different records.
 	Source netaddr.IP
-	// NoRecurse disables the cache entirely (the paper's dig calls used
-	// norecurse plus cache flushes to see authoritative data each time).
-	NoRecurse bool
 	// Backoff configures retries; the zero value keeps legacy semantics.
 	Backoff Backoff
 	// FlowLabel names the measurement unit this resolver works for. It
@@ -196,65 +183,21 @@ type Resolver struct {
 	// Like Budget it belongs to one worker; campaigns fold units into a
 	// telemetry.Completeness afterwards.
 	Unit *telemetry.Counts
-
-	mu    sync.Mutex
-	cache map[string]cacheEntry
-}
-
-type cacheEntry struct {
-	msg     *dnswire.Message
-	expires time.Time
 }
 
 // NewResolver returns a resolver on fabric using reg for delegation.
 func NewResolver(fabric *simnet.Fabric, reg *Registry, source netaddr.IP) *Resolver {
-	return &Resolver{Fabric: fabric, Registry: reg, Source: source, cache: make(map[string]cacheEntry)}
+	return &Resolver{Fabric: fabric, Registry: reg, Source: source}
 }
 
-// ForUnit returns a clone of rv dedicated to one measurement unit: it
-// shares the fabric, registry, metrics, vantage, and backoff policy but
-// carries its own flow label, budget, completeness counts, and a fresh
-// cache. The clone (and its budget and unit counts) must stay on one
-// goroutine.
+// ForUnit returns a copy of rv dedicated to one measurement unit: it
+// shares every setting of rv but carries its own flow label, budget and
+// completeness counts. The copy (and its budget and unit counts) must
+// stay on one goroutine.
 func (rv *Resolver) ForUnit(flowLabel string, b *Budget, u *telemetry.Counts) *Resolver {
-	return &Resolver{
-		Fabric:    rv.Fabric,
-		Registry:  rv.Registry,
-		Metrics:   rv.Metrics,
-		Source:    rv.Source,
-		NoRecurse: rv.NoRecurse,
-		Backoff:   rv.Backoff,
-		FlowLabel: flowLabel,
-		Budget:    b,
-		Unit:      u,
-		cache:     make(map[string]cacheEntry),
-	}
-}
-
-// FlushCache drops all cached responses.
-func (rv *Resolver) FlushCache() {
-	rv.mu.Lock()
-	defer rv.mu.Unlock()
-	if n := len(rv.cache); n > 0 {
-		rv.Metrics.cacheEntriesAdd(-int64(n))
-	}
-	rv.cache = make(map[string]cacheEntry)
-}
-
-// CacheSize returns the number of live cache entries (expired entries
-// still count until the next flush or overwrite).
-func (rv *Resolver) CacheSize() int {
-	rv.mu.Lock()
-	defer rv.mu.Unlock()
-	return len(rv.cache)
-}
-
-// cacheEntriesAdd moves the aggregate cache gauge, tolerating nil.
-func (m *ResolverMetrics) cacheEntriesAdd(delta int64) {
-	if m == nil {
-		return
-	}
-	m.CacheEntries.Add(delta)
+	c := *rv
+	c.FlowLabel, c.Budget, c.Unit = flowLabel, b, u
+	return &c
 }
 
 // lossTimeout is the simulated client-side wait charged to a unit's
@@ -263,8 +206,9 @@ func (m *ResolverMetrics) cacheEntriesAdd(delta int64) {
 // still burned a timeout waiting for it.
 const lossTimeout = time.Second
 
-// Query sends one question to the authoritative servers for name and
-// returns the validated response message. Failed attempts — timeouts,
+// Query sends one question, recursion not desired (RD=0), to the
+// authoritative servers for name and returns the validated response
+// message. Failed attempts — timeouts,
 // injected loss, and SERVFAIL responses — fail over across the
 // delegation's server IPs, with optional exponential backoff between
 // attempts (see Backoff). NXDOMAIN and REFUSED are authoritative
@@ -274,21 +218,6 @@ const lossTimeout = time.Second
 func (rv *Resolver) Query(name string, qtype dnswire.Type) (*dnswire.Message, error) {
 	name = dnswire.CanonicalName(name)
 	m := rv.Metrics
-	key := fmt.Sprintf("%s|%d", name, qtype)
-	if !rv.NoRecurse {
-		rv.mu.Lock()
-		if e, ok := rv.cache[key]; ok && rv.Fabric.Clock().Now().Before(e.expires) {
-			rv.mu.Unlock()
-			if m != nil {
-				m.CacheHits.Inc()
-			}
-			return e.msg, nil
-		}
-		rv.mu.Unlock()
-		if m != nil {
-			m.CacheMisses.Inc()
-		}
-	}
 	if rv.Budget.Exhausted() {
 		if rv.Unit != nil {
 			rv.Unit.Attempted++
@@ -334,7 +263,7 @@ func (rv *Resolver) Query(name string, qtype dnswire.Type) (*dnswire.Message, er
 		ah := xrand.Hash64(qh, uint64(attempt))
 		id := uint16(ah)
 		q := dnswire.NewQuery(id, name, qtype)
-		q.Header.RecursionDesired = !rv.NoRecurse
+		q.Header.RecursionDesired = false
 		payload, err := q.Pack()
 		if err != nil {
 			return nil, err
@@ -374,15 +303,6 @@ func (rv *Resolver) Query(name string, qtype dnswire.Type) (*dnswire.Message, er
 			lastResp, lastErr = resp, ErrServFail
 			continue
 		}
-		if !rv.NoRecurse {
-			ttl := minTTL(resp.Answers)
-			rv.mu.Lock()
-			if _, existed := rv.cache[key]; !existed {
-				rv.Metrics.cacheEntriesAdd(1)
-			}
-			rv.cache[key] = cacheEntry{msg: resp, expires: rv.Fabric.Clock().Now().Add(time.Duration(ttl) * time.Second)}
-			rv.mu.Unlock()
-		}
 		rv.unitDone(retried, true)
 		return resp, nil
 	}
@@ -406,16 +326,6 @@ func (rv *Resolver) unitDone(retried, succeeded bool) {
 	} else {
 		rv.Unit.Abandoned++
 	}
-}
-
-func minTTL(rrs []dnswire.RR) uint32 {
-	ttl := uint32(300)
-	for _, r := range rrs {
-		if r.TTL < ttl {
-			ttl = r.TTL
-		}
-	}
-	return ttl
 }
 
 // Answer is one resolved record from a full lookup: the chain of CNAMEs

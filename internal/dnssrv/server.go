@@ -42,13 +42,6 @@ func (s *Server) RemoveZone(origin string) {
 	delete(s.zones, dnswire.CanonicalName(origin))
 }
 
-// Zone returns the hosted zone with the given origin, or nil.
-func (s *Server) Zone(origin string) *Zone {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.zones[dnswire.CanonicalName(origin)]
-}
-
 // findZone returns the zone with the longest origin suffix-matching name.
 func (s *Server) findZone(name string) *Zone {
 	s.mu.RLock()

@@ -1,9 +1,9 @@
 // Package dnssrv implements the DNS serving and resolution layer of the
 // simulated Internet: authoritative zones, a server that speaks the
-// dnswire format over the simnet fabric, a caching resolver with the
-// dig-like controls the study's probing needs (cache flush, norecurse),
-// and zone transfers (AXFR) — the first step of the paper's subdomain
-// discovery pipeline.
+// dnswire format over the simnet fabric, a resolver that asks the
+// authoritative servers the way the study's dig calls did (recursion
+// off, nothing cached), and zone transfers (AXFR) — the first step of
+// the paper's subdomain discovery pipeline.
 package dnssrv
 
 import (

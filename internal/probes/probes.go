@@ -64,7 +64,6 @@ func New(cfg Config) *Prober {
 	}
 	if cfg.Fabric != nil && cfg.Registry != nil {
 		p.resolver = dnssrv.NewResolver(cfg.Fabric, cfg.Registry, src)
-		p.resolver.NoRecurse = true
 	}
 	if cfg.Telemetry != nil {
 		reg := cfg.Telemetry.Registry()

@@ -12,9 +12,12 @@
 //     epoch (the one it captured at admission).
 //   - The cache keys on the endpoint and the parameters it reads; the
 //     epoch is implicit in which state owns the map. Only 200
-//     responses and parameter errors are cached, and a build aborted
-//     by cancellation leaves the slot empty for the next request to
-//     retry (single-flight per key).
+//     responses whose parameter values come from the epoch's world (a
+//     ranked domain, a published region) are cached, so the cache is
+//     bounded by the world, not by what clients send; anything else is
+//     answered but not stored. A build aborted by cancellation leaves
+//     the slot empty for the next request to retry (single-flight per
+//     key).
 //   - Admission control: a global bounded queue (429 when full — the
 //     client should back off) and a per-endpoint concurrency limit
 //     (503 when the wait exceeds the queue timeout — the server is
@@ -32,6 +35,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/url"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -40,6 +44,7 @@ import (
 	"cloudscope"
 	"cloudscope/api"
 	"cloudscope/internal/chaos"
+	"cloudscope/internal/ipranges"
 	"cloudscope/internal/telemetry"
 )
 
@@ -83,7 +88,8 @@ type cacheEntry struct {
 }
 
 // epochState is everything tied to one world generation. Immutable
-// after swap-in except the cache, which only grows.
+// after swap-in except the cache, which only grows, and only up to one
+// entry per endpoint and world-named parameter value.
 type epochState struct {
 	epoch int64
 	study *cloudscope.Study
@@ -233,6 +239,32 @@ func (ep endpoint) cacheKey(q url.Values) string {
 	return key
 }
 
+// storable reports whether the answer to q may enter the epoch's cache:
+// every parameter value must come from the epoch's world — a ranked
+// domain for name, a published region (or none) for region.
+func storable(ctx context.Context, st *cloudscope.Study, ep endpoint, q url.Values) bool {
+	for _, p := range ep.params {
+		v := q.Get(p)
+		switch p {
+		case "name":
+			w, err := st.WorldContext(ctx)
+			if err != nil {
+				return false
+			}
+			if _, ok := w.List.Lookup(v); !ok {
+				return false
+			}
+		case "region":
+			if v != "" && !slices.Contains(ipranges.EC2Regions, v) && !slices.Contains(ipranges.AzureRegions, v) {
+				return false
+			}
+		default:
+			return false
+		}
+	}
+	return true
+}
+
 // serveQuery is the admission + cache + build pipeline every /v1/*
 // request runs through.
 func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, ep endpoint) {
@@ -306,6 +338,10 @@ var latencyBounds = []float64{0.1, 0.25, 0.5, 1, 2.5, 5, 10, 25, 50, 100, 250, 5
 // answer resolves one query against one epoch, through its cache.
 func (s *Server) answer(ctx context.Context, st *epochState, ep endpoint, q url.Values) (int, []byte) {
 	reg := s.tel.Registry()
+	if !storable(ctx, st.study, ep, q) {
+		reg.Counter("serve.cache_misses").Inc()
+		return compute(ctx, st, ep, q)
+	}
 	e := st.entry(ep.cacheKey(q))
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -314,29 +350,31 @@ func (s *Server) answer(ctx context.Context, st *epochState, ep endpoint, q url.
 		return e.status, e.body
 	}
 	reg.Counter("serve.cache_misses").Inc()
+	status, body := compute(ctx, st, ep, q)
+	if status == http.StatusOK {
+		e.done, e.status, e.body = true, status, body
+	}
+	return status, body
+}
 
+// compute builds one answer's status and body.
+func compute(ctx context.Context, st *epochState, ep endpoint, q url.Values) (int, []byte) {
 	data, err := ep.build(ctx, st.study, q)
 	if err != nil {
 		if he, ok := err.(*httpError); ok {
-			status, body := he.status, errorBody(he.status, he.msg)
-			// Parameter errors are deterministic for the key: cache them
-			// too so repeat offenders stay cheap.
-			e.done, e.status, e.body = true, status, body
-			return status, body
+			return he.status, errorBody(he.status, he.msg)
 		}
 		if ctx.Err() != nil {
-			// Cancelled mid-build: leave the slot empty so the next
-			// request retries, and tell this client it was them.
+			// Cancelled mid-build: the slot stays empty so the next
+			// request retries; tell this client it was them.
 			return 499, errorBody(499, "request cancelled during compute")
 		}
 		return http.StatusInternalServerError, errorBody(http.StatusInternalServerError, err.Error())
 	}
-	env := api.NewEnvelope(ep.name, st.epoch, st.study, data)
-	body, err := json.Marshal(env)
+	body, err := json.Marshal(api.NewEnvelope(ep.name, st.epoch, st.study, data))
 	if err != nil {
 		return http.StatusInternalServerError, errorBody(http.StatusInternalServerError, err.Error())
 	}
-	e.done, e.status, e.body = true, http.StatusOK, body
 	return http.StatusOK, body
 }
 

@@ -444,3 +444,69 @@ func TestCacheKeyFollowsBuilderParams(t *testing.T) {
 		t.Fatalf("patterns?junk=1 missed the cache (hits %d -> %d)", before, got)
 	}
 }
+
+// TestCacheBoundedByWorld: only answers whose parameter values come
+// from the epoch's world enter the cache. Concurrent asks for unknown
+// names and regions are answered but leave the cache size unchanged,
+// while a ranked name and a published region are stored and hit.
+func TestCacheBoundedByWorld(t *testing.T) {
+	srv, ts := newTestServer(t, Config{Study: testStudyConfig()})
+	st := srv.state.Load()
+	ranked := st.study.World().List.Rank(1).Name
+	cacheSize := func() int {
+		st.mu.Lock()
+		defer st.mu.Unlock()
+		return len(st.cache)
+	}
+	for _, path := range []string{"/v1/domain?name=" + ranked, "/v1/outage?region=az.us-east"} {
+		if status, body := get(t, ts.URL+path); status != http.StatusOK {
+			t.Fatalf("%s -> %d: %s", path, status, body)
+		}
+	}
+	size := cacheSize()
+
+	var paths []string
+	for i := 0; i < 200; i++ {
+		paths = append(paths, fmt.Sprintf("/v1/domain?name=unknown-%d.example", i))
+	}
+	for i := 0; i < 20; i++ {
+		paths = append(paths, fmt.Sprintf("/v1/outage?region=ec2.nowhere-%d", i))
+	}
+	work := make(chan string)
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for path := range work {
+				resp, err := http.Get(ts.URL + path)
+				if err != nil {
+					t.Errorf("GET %s: %v", path, err)
+					continue
+				}
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					t.Errorf("%s -> %d, want 200", path, resp.StatusCode)
+				}
+			}
+		}()
+	}
+	for _, path := range paths {
+		work <- path
+	}
+	close(work)
+	wg.Wait()
+	if got := cacheSize(); got != size {
+		t.Fatalf("cache grew from %d to %d entries on unknown names and regions", size, got)
+	}
+
+	hits := srv.Telemetry().Registry().Counter("serve.cache_hits")
+	for _, path := range []string{"/v1/domain?name=" + ranked, "/v1/outage?region=az.us-east"} {
+		before := hits.Value()
+		get(t, ts.URL+path)
+		if got := hits.Value(); got != before+1 {
+			t.Errorf("repeated %s missed the cache (hits %d -> %d)", path, before, got)
+		}
+	}
+}

@@ -264,10 +264,10 @@ func TestJSONDump(t *testing.T) {
 func TestReportRendering(t *testing.T) {
 	tel := New()
 	tel.Registry().Counter("dns.queries").Inc()
-	tel.Registry().Gauge("dns.cache.entries").Set(9)
+	tel.Registry().Gauge("runtime.goroutines").Set(9)
 	tel.StartSpan("study/world").End()
 	rep := tel.Report()
-	for _, want := range []string{"=== telemetry ===", "dns.queries", "dns.cache.entries", "spans:", "study/world"} {
+	for _, want := range []string{"=== telemetry ===", "dns.queries", "runtime.goroutines", "spans:", "study/world"} {
 		if !strings.Contains(rep, want) {
 			t.Fatalf("report missing %q:\n%s", want, rep)
 		}
