@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build check test race bench serve-smoke experiments world chaos bisect-smoke fuzz-chaos fuzz-chaos-v3 fuzz-trace fuzz-packet fuzz-pcap fuzz-diskfmt fuzz-dnswire clean
+.PHONY: all build check test race bench serve-smoke experiments world chaos bisect-smoke fuzz-chaos fuzz-chaos-v3 fuzz-trace fuzz-packet fuzz-pcap fuzz-diskfmt fuzz-dnswire fuzz-xrand clean
 
 all: build check test
 
@@ -116,6 +116,12 @@ fuzz-diskfmt:
 fuzz-dnswire:
 	$(GO) test -fuzz=FuzzUnpack -fuzztime=10s ./internal/dnswire
 	$(GO) test -fuzz=FuzzPackUnpack -fuzztime=10s ./internal/dnswire
+
+# Fuzz xrand.New's O(1)-seeded source against math/rand's default
+# source (any seed and draw count must give the same stream, draw for
+# draw, across a mid-stream Reseed).
+fuzz-xrand:
+	$(GO) test -fuzz=FuzzNewMatchesMathRand -fuzztime=10s ./internal/xrand
 
 # Generate a world with shareable artifacts (pcap, zone files, CSVs).
 world:

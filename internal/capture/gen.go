@@ -116,8 +116,8 @@ type pendingCorrupt struct {
 }
 
 // newFlowgen builds one shard's flow factory. The stream is a NewFast
-// source: it is reseeded once per flow, and math/rand's default source
-// would rebuild its 607-word state table on every flow boundary.
+// source, reseeded once per flow: the capture pcap goldens pin its
+// splitmix64 streams, so it cannot move to New's math/rand stream.
 func (g *Generator) newFlowgen() *flowgen {
 	return &flowgen{g: g, rng: xrand.NewFast(0), truth: newTruth(), blk: pcapio.GetBlock()}
 }

@@ -188,15 +188,14 @@ var (
 	regionCountWeightsAzure = []float64{0.92, 0.07, 0.01}
 )
 
-// nsProviderKind weights: most DNS is hosted outside the clouds; route53
-// (inside CloudFront ranges), EC2-VM self-hosting, and Azure hosting
-// cover the rest (§4.1's name-server analysis).
-var nsKindWeights = map[string]float64{
-	"external": 0.92,
-	"route53":  0.060,
-	"ec2-vm":   0.017,
-	"azure":    0.003,
-}
+// DNS-provider kinds and their weights, in the order pickKind draws
+// them: most DNS is hosted outside the clouds; route53 (inside
+// CloudFront ranges), EC2-VM self-hosting, and Azure hosting cover the
+// rest (§4.1's name-server analysis).
+var (
+	nsKinds       = []string{"external", "route53", "ec2-vm", "azure"}
+	nsKindWeights = []float64{0.92, 0.060, 0.017, 0.003}
+)
 
 // continentRegionsEC2 lists EC2 regions per continent for geo-affine
 // home-region choice.

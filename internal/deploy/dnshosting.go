@@ -25,6 +25,38 @@ type DNSProvider struct {
 	Server  *dnssrv.Server
 }
 
+// dnsPool is the shared hosting pool buildDNSProviders provisions and
+// assignDNS draws from, with the external hosters' Zipf CDF built once.
+// It is held apart from World.DNSProviders, which an in-memory world
+// grows by one entry per self-hosting domain, so no domain's provider
+// choice scans that list or rebuilds the pool.
+type dnsPool struct {
+	externals []*DNSProvider  // Zipf-ranked external hosters
+	zipf      *xrand.Weighted // weight 1/(i+1) for externals[i]
+	route53   *DNSProvider
+	azure     *DNSProvider
+}
+
+// Addresses of the external hosters' name servers: hoster i owns the
+// 64 addresses from externalNSBase + 64i, and its name server j is the
+// (j+1)th of them. The carve steps over sharedNSBlock, the /23 holding
+// the shared vanity zones' servers (deploySharedZones), which hosters
+// from 1344 on — worlds of 1,069,600 domains and more — would reach;
+// every hoster below it keeps its address.
+var (
+	externalNSBase = netaddr.MustParseIP("204.13.0.0")
+	sharedNSBlock  = netaddr.MustParseCIDR("204.14.80.0/23")
+)
+
+// externalNSIP returns external hoster i's jth name-server address.
+func externalNSIP(i, j int) netaddr.IP {
+	block := externalNSBase + netaddr.IP(i*64)
+	if block >= sharedNSBlock.Base {
+		block += netaddr.IP(sharedNSBlock.Size())
+	}
+	return block + netaddr.IP(j+1)
+}
+
 // buildDNSProviders provisions the shared hosting pool: a Zipf-popular
 // set of external hosters, a route53 fleet in CloudFront address space,
 // and small EC2-VM and Azure pools for self-hosters. Every provider's
@@ -33,10 +65,8 @@ func (w *World) buildDNSProviders() {
 	rng := w.rng.Split("dnshosting")
 	nExternal := w.Cfg.NumDomains/800 + 8
 
-	externalIP := func(i, j int) netaddr.IP {
-		// Carve NS addresses from a dedicated non-cloud block.
-		return netaddr.MustParseIP("204.13.0.0") + netaddr.IP(i*64+j+1)
-	}
+	// A few big hosters serve most domains.
+	weights := make([]float64, nExternal)
 	for i := 0; i < nExternal; i++ {
 		name := fmt.Sprintf("dnshost%02d.net", i)
 		p := &DNSProvider{Name: name, Kind: "external", Server: dnssrv.NewServer()}
@@ -44,7 +74,7 @@ func (w *World) buildDNSProviders() {
 		n := rng.Range(3, 8)
 		for j := 0; j < n; j++ {
 			fq := fmt.Sprintf("ns%d.%s", j+1, name)
-			ip := externalIP(i, j)
+			ip := externalNSIP(i, j)
 			p.NSNames = append(p.NSNames, fq)
 			p.NSIPs = append(p.NSIPs, ip)
 			glue.MustAdd(dnswire.RR{Name: fq, Type: dnswire.TypeA, TTL: 86400, IP: ip})
@@ -52,7 +82,10 @@ func (w *World) buildDNSProviders() {
 		p.Server.AddZone(glue)
 		dnssrv.Deploy(w.Fabric, w.Registry, p.Server, p.NSIPs...)
 		w.DNSProviders = append(w.DNSProviders, p)
+		w.dns.externals = append(w.dns.externals, p)
+		weights[i] = 1 / float64(i+1)
 	}
+	w.dns.zipf = xrand.NewWeighted(nil, weights)
 
 	// Route53: one logical provider with a larger NS fleet; customers
 	// pick 4 servers each. All fleet IPs serve all route53 zones.
@@ -65,6 +98,7 @@ func (w *World) buildDNSProviders() {
 	}
 	dnssrv.Deploy(w.Fabric, w.Registry, r53.Server, r53.NSIPs...)
 	w.DNSProviders = append(w.DNSProviders, r53)
+	w.dns.route53 = r53
 
 	// A small Azure-hosted provider.
 	azp := &DNSProvider{Name: "azuredns.net", Kind: "azure", Server: dnssrv.NewServer()}
@@ -79,41 +113,16 @@ func (w *World) buildDNSProviders() {
 	azp.Server.AddZone(glue)
 	dnssrv.Deploy(w.Fabric, w.Registry, azp.Server, azp.NSIPs...)
 	w.DNSProviders = append(w.DNSProviders, azp)
-}
-
-// externalProviders returns the external pool with Zipf weights (a few
-// big hosters serve most domains).
-func (w *World) externalProviders() ([]*DNSProvider, []float64) {
-	var ps []*DNSProvider
-	for _, p := range w.DNSProviders {
-		if p.Kind == "external" {
-			ps = append(ps, p)
-		}
-	}
-	weights := make([]float64, len(ps))
-	for i := range ps {
-		weights[i] = 1 / float64(i+1)
-	}
-	return ps, weights
-}
-
-func (w *World) providerOfKind(kind string) *DNSProvider {
-	for _, p := range w.DNSProviders {
-		if p.Kind == kind {
-			return p
-		}
-	}
-	return nil
+	w.dns.azure = azp
 }
 
 // assignDNS hosts d's zone: picks a provider kind by the paper's NS
 // location mix, installs NS records, and delegates. Self-hosters get a
 // fresh per-domain provider whose name servers are VMs in the domain's
 // home region. The provider choice (and every draw behind it) happens
-// at plan time — the pools it reads are fixed before deployDomains
-// runs, and self-hosters only ever append "ec2-vm" providers the
-// plan-time lookups filter out — while the zone delegation and any VM
-// launches land in commit ops.
+// at plan time — the pool it reads (w.dns) is fixed before
+// deployDomains runs — while the zone delegation and any VM launches
+// land in commit ops.
 func (w *World) assignDNS(pl *domainPlan, rng *xrand.Rand, d *Domain) {
 	kind := pickKind(rng)
 	if (kind == "ec2-vm" || kind == "azure") && d.HomeRegion == "" {
@@ -121,7 +130,7 @@ func (w *World) assignDNS(pl *domainPlan, rng *xrand.Rand, d *Domain) {
 	}
 	switch kind {
 	case "route53":
-		base := w.providerOfKind("route53")
+		base := w.dns.route53
 		// Pick 4 fleet servers for this domain.
 		p := &DNSProvider{Name: "route53", Kind: "route53", Server: base.Server}
 		start := rng.Intn(len(base.NSIPs))
@@ -134,11 +143,10 @@ func (w *World) assignDNS(pl *domainPlan, rng *xrand.Rand, d *Domain) {
 	case "ec2-vm":
 		pl.op(func() { w.attachDNS(d, w.selfHostedProvider(d, w.EC2)) })
 	case "azure":
-		p := w.providerOfKind("azure")
+		p := w.dns.azure
 		pl.op(func() { w.attachDNS(d, p) })
 	default:
-		ps, weights := w.externalProviders()
-		p := xrand.Pick(rng, ps, weights)
+		p := w.dns.externals[w.dns.zipf.NextR(rng)]
 		pl.op(func() { w.attachDNS(d, p) })
 	}
 }
@@ -180,9 +188,9 @@ func (w *World) selfHostedProvider(d *Domain, c *cloud.Cloud) *DNSProvider {
 		w.registerSubdomain(s)
 	}
 	dnssrv.Deploy(w.Fabric, w.Registry, p.Server, p.NSIPs...)
-	// The pool only serves inspection (plan-time lookups filter out
-	// "ec2-vm" entries); a streaming world drops per-domain providers
-	// with their chunk instead of accumulating one per self-hoster.
+	// The list only serves inspection (plan-time lookups read w.dns);
+	// a streaming world drops per-domain providers with their chunk
+	// instead of accumulating one per self-hoster.
 	if !w.streaming {
 		w.DNSProviders = append(w.DNSProviders, p)
 	}
@@ -190,10 +198,5 @@ func (w *World) selfHostedProvider(d *Domain, c *cloud.Cloud) *DNSProvider {
 }
 
 func pickKind(rng *xrand.Rand) string {
-	kinds := []string{"external", "route53", "ec2-vm", "azure"}
-	weights := make([]float64, len(kinds))
-	for i, k := range kinds {
-		weights[i] = nsKindWeights[k]
-	}
-	return xrand.Pick(rng, kinds, weights)
+	return xrand.Pick(rng, nsKinds, nsKindWeights)
 }

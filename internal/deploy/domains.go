@@ -48,7 +48,8 @@ func (p *domainPlan) commit() {
 }
 
 // deploySharedZones publishes the shared vanity zones every chunk's
-// opaque subdomains write into.
+// opaque subdomains write into. Their servers sit in sharedNSBlock,
+// which the external hosters' name-server carve steps over.
 func (w *World) deploySharedZones() {
 	// Shared vanity zone for opaque CNAME targets.
 	w.opaqueZone = dnssrv.NewZone("ghs-hosting.net")

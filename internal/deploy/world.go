@@ -111,6 +111,7 @@ type World struct {
 	Domains      []*Domain // every ranked domain, rank order
 	CloudDomains []*Domain // subset with cloud deployments, rank order
 	DNSProviders []*DNSProvider
+	dns          dnsPool
 
 	bySub        map[string]*Subdomain
 	subCount     int // distinct FQDNs ever registered; survives release

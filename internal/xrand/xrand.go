@@ -3,10 +3,13 @@
 //
 // Every generator in cloudscope is seeded explicitly so that worlds,
 // traces, and measurements are reproducible bit-for-bit across runs.
-// The package wraps math/rand with a splittable source (so independent
-// subsystems draw from independent streams) and adds the distributions
-// the paper's workloads require: Zipf-ranked popularity, Pareto and
-// log-normal flow sizes, and weighted categorical choice.
+// The package serves math/rand's distributions from a splittable
+// source (so independent subsystems draw from independent streams):
+// New reproduces math/rand's default stream for every seed, but seeds
+// in O(1) instead of building a 4.9 KB table per stream, so code can
+// afford one stream per item. It adds the distributions the paper's
+// workloads require: Zipf-ranked popularity, Pareto and log-normal flow
+// sizes, and weighted categorical choice.
 package xrand
 
 import (
@@ -22,9 +25,15 @@ type Rand struct {
 	seed int64
 }
 
-// New returns a Rand seeded with seed.
+// New returns a Rand seeded with seed. Its stream is exactly
+// rand.New(rand.NewSource(seed))'s, draw for draw, but seeding is O(1)
+// and allocates no state table: the source computes the first 273 draws
+// straight from the seed and builds math/rand's 607-word register only
+// if a 274th is drawn (see lfibSource).
 func New(seed int64) *Rand {
-	return &Rand{r: rand.New(rand.NewSource(seed)), seed: seed}
+	src := &lfibSource{}
+	src.Seed(seed)
+	return &Rand{r: rand.New(src), seed: seed}
 }
 
 // Split derives an independent stream identified by label. The derived
@@ -66,18 +75,17 @@ func SubSeed(seed int64, label string, n int) int64 {
 
 // Reseed rewinds the generator onto a fresh stream for seed, reusing
 // the underlying source — the alloc-free counterpart of constructing a
-// new Rand for code that needs one short-lived stream per item. Pair it
-// with NewFast: math/rand's default source rebuilds a 607-word state
-// array on every Seed, which defeats the point of reseeding in a hot
-// loop.
+// new Rand for code that needs one short-lived stream per item. It is
+// O(1) for both constructors; which one a loop uses decides only which
+// stream family it draws (see NewFast).
 func (rn *Rand) Reseed(seed int64) {
 	rn.seed = seed
 	rn.r.Seed(seed)
 }
 
 // fastSource is a splitmix64 rand.Source64: full 64-bit output period
-// 2^64, passes the usual avalanche tests, and — the property NewFast
-// exists for — seeding is a single word write.
+// 2^64, passes the usual avalanche tests, and seeding is a single word
+// write.
 type fastSource struct{ state uint64 }
 
 func (s *fastSource) Seed(seed int64) { s.state = uint64(seed) }
@@ -92,11 +100,13 @@ func (s *fastSource) Uint64() uint64 {
 
 func (s *fastSource) Int63() int64 { return int64(s.Uint64() >> 1) }
 
-// NewFast returns a Rand whose Reseed is O(1): a splitmix64 source
-// behind the same math/rand adapter (so every distribution helper —
-// NormFloat64, Perm, Shuffle — behaves identically in kind). Streams
-// from NewFast and New differ for the same seed; a subsystem must pick
-// one constructor and stay with it.
+// NewFast returns a Rand on a splitmix64 source behind the same
+// math/rand adapter (so every distribution helper — NormFloat64, Perm,
+// Shuffle — behaves identically in kind). Streams from NewFast and New
+// differ for the same seed; a subsystem must pick one constructor and
+// stay with it. Seeding New is O(1) too; NewFast stays because the
+// capture generator's per-flow streams are drawn from it and the
+// capture pcap goldens pin those streams.
 func NewFast(seed int64) *Rand {
 	return &Rand{r: rand.New(&fastSource{state: uint64(seed)}), seed: seed}
 }
@@ -232,13 +242,34 @@ func (w *Weighted) NextR(rn *Rand) int {
 	return i
 }
 
-// Pick returns one element of choices selected by weights. It panics if
-// lengths differ.
+// Pick returns one element of choices selected by weights, drawing one
+// Float64 from rn. It panics if lengths differ or the weights are
+// invalid for NewWeighted. It allocates nothing, yet returns the index
+// NewWeighted(rn, weights).Next() would: the same running sums divided
+// by the same total, searched for the first one at or above the draw.
 func Pick[T any](rn *Rand, choices []T, weights []float64) T {
 	if len(choices) != len(weights) {
 		panic("xrand: Pick length mismatch")
 	}
-	return choices[NewWeighted(rn, weights).Next()]
+	sum := 0.0
+	for _, w := range weights {
+		if w < 0 {
+			panic("xrand: negative weight")
+		}
+		sum += w
+	}
+	if sum <= 0 {
+		panic("xrand: weights sum to zero")
+	}
+	u := rn.Float64()
+	run := 0.0
+	for i, w := range weights {
+		run += w
+		if run/sum >= u {
+			return choices[i]
+		}
+	}
+	return choices[len(choices)-1]
 }
 
 // PickUniform returns a uniformly chosen element of choices.

@@ -1,7 +1,9 @@
 package xrand
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -189,6 +191,14 @@ func TestWeightedPanics(t *testing.T) {
 			}()
 			NewWeighted(New(1), weights)
 		}()
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s weights did not panic Pick", name)
+				}
+			}()
+			Pick(New(1), []int{0, 1}, weights)
+		}()
 	}
 }
 
@@ -204,6 +214,139 @@ func TestPick(t *testing.T) {
 	}
 	if len(seen) != 3 {
 		t.Fatalf("PickUniform covered %d/3 choices", len(seen))
+	}
+}
+
+// TestPickMatchesWeighted: Pick is the allocation-free form of
+// NewWeighted(rn, weights).Next() and must return the same index for
+// the same stream, including on zero weights and the clamp at the end.
+func TestPickMatchesWeighted(t *testing.T) {
+	tables := [][]float64{
+		{1},
+		{0, 1, 3},
+		{1, 0, 0},
+		{0.05, 0.15, 0.7, 0.1},
+		{1, 1.0 / 2, 1.0 / 3, 1.0 / 4, 1.0 / 5, 1.0 / 6, 1.0 / 7},
+		{1e-300, 1e300, 1e-300},
+	}
+	for ti, weights := range tables {
+		choices := make([]int, len(weights))
+		for i := range choices {
+			choices[i] = i
+		}
+		for seed := int64(0); seed < 500; seed++ {
+			got := Pick(New(seed), choices, weights)
+			want := NewWeighted(New(seed), weights).Next()
+			if got != want {
+				t.Fatalf("table %d seed %d: Pick = %d, NewWeighted = %d", ti, seed, got, want)
+			}
+		}
+		rn := New(int64(ti))
+		if a := testing.AllocsPerRun(100, func() { sinkInt += Pick(rn, choices, weights) }); a != 0 {
+			t.Errorf("table %d: Pick allocates %.1f times per call, want 0", ti, a)
+		}
+	}
+}
+
+var (
+	sinkInt   int
+	sinkFloat float64
+)
+
+// mathRandSeeds returns math/rand's seed-canonicalization edges (zero,
+// signs, multiples of the 2^31−1 modulus, the zero-seed replacement,
+// the int64 extremes) followed by hashed seeds spread over int64.
+func mathRandSeeds() []int64 {
+	const m = 1<<31 - 1
+	seeds := []int64{
+		0, 1, -1, m, -m, m - 1, -(m - 1), m + 1, -(m + 1),
+		2 * m, -2 * m, 12345 * m, -12345 * m, math.MaxInt64 / m * m, math.MinInt64 / m * m,
+		89482311, -89482311, 89482311 + m,
+		math.MinInt64, math.MaxInt64, math.MinInt64 + 1, math.MaxInt64 - 1,
+	}
+	for i := uint64(0); i < 300; i++ {
+		seeds = append(seeds, int64(Hash64(i)))
+	}
+	return seeds
+}
+
+// compareMathRand draws n operations from got and want in the same
+// mixed order — Int63, Uint64, Float64, Intn on both the 31- and
+// 63-bit paths, NormFloat64, ExpFloat64 and Perm — reseeding both with
+// reseed before operation reseedAt, and reports the first divergence.
+func compareMathRand(got *Rand, want *rand.Rand, n, reseedAt int, reseed int64) error {
+	for i := 0; i < n; i++ {
+		if i == reseedAt {
+			got.Reseed(reseed)
+			want.Seed(reseed)
+		}
+		var g, w any
+		switch i % 8 {
+		case 0:
+			g, w = got.Int63(), want.Int63()
+		case 1:
+			g, w = got.r.Uint64(), want.Uint64()
+		case 2:
+			g, w = math.Float64bits(got.Float64()), math.Float64bits(want.Float64())
+		case 3:
+			k := 1 + i*7919%100000
+			g, w = got.Intn(k), want.Intn(k)
+		case 4:
+			k := 1<<40 + i
+			g, w = got.Intn(k), want.Intn(k)
+		case 5:
+			g, w = math.Float64bits(got.NormFloat64()), math.Float64bits(want.NormFloat64())
+		case 6:
+			g, w = math.Float64bits(got.ExpFloat64()), math.Float64bits(want.ExpFloat64())
+		case 7:
+			k := 1 + i%17
+			g, w = fmt.Sprint(got.Perm(k)), fmt.Sprint(want.Perm(k))
+		}
+		if g != w {
+			return fmt.Errorf("operation %d (kind %d): got %v, math/rand %v", i, i%8, g, w)
+		}
+	}
+	return nil
+}
+
+// TestNewMatchesMathRand pins New's source to math/rand's default
+// source draw for draw, well past draw 273 where the register is first
+// built, and across a Reseed mid-stream.
+func TestNewMatchesMathRand(t *testing.T) {
+	for _, seed := range mathRandSeeds() {
+		reseed := int64(Hash64(uint64(seed), 1))
+		if err := compareMathRand(New(seed), rand.New(rand.NewSource(seed)), 2400, 1100, reseed); err != nil {
+			t.Fatalf("seed %d (reseed %d): %v", seed, reseed, err)
+		}
+	}
+}
+
+func FuzzNewMatchesMathRand(f *testing.F) {
+	for _, seed := range []int64{0, -1, 1<<31 - 1, 89482311, math.MinInt64} {
+		f.Add(seed, uint16(700))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, draws uint16) {
+		n := int(draws)
+		if err := compareMathRand(New(seed), rand.New(rand.NewSource(seed)), n, n/2, ^seed); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+	})
+}
+
+// TestShortStreamAllocs guards O(1) seeding: a split stream that draws
+// a handful of values — one per domain in world synthesis — must not
+// allocate math/rand's 4.9 KB state table.
+func TestShortStreamAllocs(t *testing.T) {
+	res := testing.Benchmark(func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			rn := SplitSeeded(int64(i), "domain/example.com")
+			for k := 0; k < 10; k++ {
+				sinkFloat += rn.Float64()
+			}
+		}
+	})
+	if got := res.AllocedBytesPerOp(); got >= 512 {
+		t.Fatalf("SplitSeeded + 10 draws allocates %d B/op, want < 512", got)
 	}
 }
 
