@@ -13,9 +13,12 @@ build:
 # hottest concurrent paths (telemetry instruments, fabric, resolver,
 # the worker pool, and every parallelized analysis stage), plus a
 # repeated small-shard stress run that forces shard-boundary
-# interleavings in the pool. Last, it vets and self-tests perfbench/,
-# a nested module that the root `go build ./...` never compiles, so a
-# library API change cannot silently break the benchmark.
+# interleavings in the pool. It runs each DESIGN.md §5 ablation
+# benchmark once, so a broken sweep fails here (the zone-threshold
+# sweep is the only caller that passes a non-paper T). Last, it vets
+# and self-tests perfbench/, a nested module that the root
+# `go build ./...` never compiles, so a library API change cannot
+# silently break the benchmark.
 check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 	@if grep -rn --include='*.go' '"unsafe"' . ; then \
@@ -35,6 +38,7 @@ check:
 	$(GO) test -race -count=2 -run 'TestStreamingSmallChunkInvariance' .
 	$(GO) test -race -count=2 -run 'CancelMidBuild' . ./api
 	$(MAKE) serve-smoke
+	$(GO) test -run '^$$' -bench Ablation -benchtime 1x .
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 test:

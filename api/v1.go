@@ -28,10 +28,6 @@ import (
 // Version is the wire-format version tag carried by every Envelope.
 const Version = "v1"
 
-// USRegions are the paper's Figure 9/10 region restriction; WANPerf
-// matrices and per-domain latency estimates use it.
-var USRegions = []string{"ec2.us-east-1", "ec2.us-west-1", "ec2.us-west-2"}
-
 // Envelope wraps every response: which endpoint answered, from which
 // world epoch and config, and — when the study ran under chaos — how
 // complete the answer is. Data holds the endpoint's V1 payload.
@@ -543,11 +539,11 @@ func WANPerf(ctx context.Context, s *cloudscope.Study) (*WANPerfV1, error) {
 	if err != nil {
 		return nil, err
 	}
-	lat, err := camp.Matrix(wan.MetricLatency, USRegions, 15)
+	lat, err := camp.Matrix(wan.MetricLatency, wanperf.USRegions, 15)
 	if err != nil {
 		return nil, err
 	}
-	thr, err := camp.Matrix(wan.MetricThroughput, USRegions, 15)
+	thr, err := camp.Matrix(wan.MetricThroughput, wanperf.USRegions, 15)
 	if err != nil {
 		return nil, err
 	}

@@ -18,6 +18,7 @@ import (
 	"cloudscope/internal/core/dataset"
 	"cloudscope/internal/core/patterns"
 	"cloudscope/internal/core/regions"
+	"cloudscope/internal/core/wanperf"
 	"cloudscope/internal/parallel"
 	"cloudscope/internal/telemetry/runtimeprof"
 	"cloudscope/internal/wan"
@@ -76,7 +77,6 @@ func BenchmarkPipelineWorkers(b *testing.B) {
 	ec2 := s.World().EC2
 	targets := s.Zones().Targets
 	campaign := s.Campaign()
-	latCfg := cartography.DefaultLatencyConfig()
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			opt := parallel.Options{Workers: workers}
@@ -86,8 +86,8 @@ func BenchmarkPipelineWorkers(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				d := must(patterns.DetectAllPar(ds, opt))
 				_ = must(regions.AnalyzePar(ds, d, opt))
-				_ = must(cartography.IdentifyByLatency(ec2, acct, targets, latCfg, core.Options{Seed: int64(i), Par: opt}))
-				_ = must(campaign.Matrix(wan.MetricLatency, usRegions, 0))
+				_ = must(cartography.IdentifyByLatency(ec2, acct, targets, cartography.ThresholdMs, core.Options{Seed: int64(i), Par: opt}))
+				_ = must(campaign.Matrix(wan.MetricLatency, wanperf.USRegions, 0))
 			}
 		})
 	}
@@ -103,12 +103,10 @@ func BenchmarkAblationZoneThreshold(b *testing.B) {
 	targets := s.Zones().Targets
 	for _, tMs := range []float64{0.7, 0.9, 1.1, 1.5, 2.0} {
 		b.Run(fmt.Sprintf("T=%.1fms", tMs), func(b *testing.B) {
-			cfg := cartography.DefaultLatencyConfig()
-			cfg.ThresholdMs = tMs
 			acct := ec2.NewAccount(fmt.Sprintf("ablation-%d", int(tMs*10)))
 			var unknownRate float64
 			for i := 0; i < b.N; i++ {
-				res := must(cartography.IdentifyByLatency(ec2, acct, targets, cfg, core.Options{Seed: int64(i), Par: parallel.Options{}}))
+				res := must(cartography.IdentifyByLatency(ec2, acct, targets, tMs, core.Options{Seed: int64(i), Par: parallel.Options{}}))
 				var unknown, responding int
 				for _, rr := range res {
 					unknown += rr.Unknown

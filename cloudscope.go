@@ -7,7 +7,7 @@
 //
 // The entry point is a Study:
 //
-//	study := cloudscope.NewStudy(cloudscope.DefaultConfig().WithDomains(5000))
+//	study := cloudscope.NewStudy(cloudscope.Config{Domains: 5000})
 //	ds := study.Dataset()            // §2.1 discovery pipeline
 //	fmt.Print(study.Breakdown().Table3())
 //
@@ -50,7 +50,8 @@ import (
 )
 
 // Config parameterizes a Study. Zero values are filled from
-// DefaultConfig; construct with DefaultConfig and the With* helpers.
+// DefaultConfig, so a literal sets only the fields it changes:
+// Config{Domains: 5000} is DefaultConfig at a 5,000-domain list.
 type Config struct {
 	// Seed drives every generator; identical configs are bit-for-bit
 	// reproducible.
@@ -98,9 +99,6 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{Seed: 1, Domains: 20000, Vantages: 200, CaptureFlows: 30000, WANClients: 80}
 }
-
-// WithDomains returns the config with a different list size.
-func (c Config) WithDomains(n int) Config { c.Domains = n; return c }
 
 // FieldError reports one invalid Config field: which field, the value
 // it held, and what is wrong with it.
@@ -406,10 +404,7 @@ func (s *Study) World() *deploy.World { return must(s.WorldContext(context.Backg
 func (s *Study) WorldContext(ctx context.Context) (*deploy.World, error) {
 	return s.world.get(ctx, func() (*deploy.World, error) {
 		defer s.tel.StartSpan("study/world").End()
-		wcfg := deploy.DefaultConfig().Scaled(s.Cfg.Domains)
-		wcfg.Seed = s.Cfg.Seed
-		wcfg.Par = s.opts(ctx, "world").Par
-		w, err := deploy.Generate(wcfg)
+		w, err := deploy.Generate(deploy.Config{Seed: s.Cfg.Seed, NumDomains: s.Cfg.Domains, Par: s.opts(ctx, "world").Par})
 		if err != nil {
 			return nil, err
 		}
@@ -534,9 +529,7 @@ func (s *Study) ZonesContext(ctx context.Context) (*zones.Study, error) {
 			return nil, err
 		}
 		defer s.tel.StartSpan("study/zones").End()
-		cfg := zones.DefaultConfig()
-		cfg.Options = s.opts(ctx, "zones")
-		return zones.Run(ds, det, w.EC2, cfg)
+		return zones.Run(ds, det, w.EC2, s.opts(ctx, "zones"))
 	})
 }
 
@@ -590,19 +583,13 @@ func (s *Study) buildCapture() (captureResult, error) {
 // seed, sizing, worker budget and fault engine.
 func (s *Study) captureConfig() capture.Config {
 	opt := s.opts(context.Background(), "capture")
-	ccfg := capture.DefaultConfig()
-	ccfg.Seed = opt.Seed
-	ccfg.Flows = s.Cfg.CaptureFlows
-	ccfg.Par = opt.Par
-	ccfg.Chaos = opt.Chaos
-	return ccfg
+	return capture.Config{Seed: opt.Seed, Flows: s.Cfg.CaptureFlows, Par: opt.Par, Chaos: opt.Chaos}
 }
 
 // WriteCapture writes the synthetic border capture in pcap format.
 func (s *Study) WriteCapture(w io.Writer) (*capture.Truth, error) {
-	ccfg := s.captureConfig()
-	g := capture.NewGenerator(ccfg, s.World())
-	return g.Generate(pcapio.NewWriter(w, ccfg.Snaplen))
+	g := capture.NewGenerator(s.captureConfig(), s.World())
+	return g.Generate(pcapio.NewWriter(w, capture.Snaplen))
 }
 
 // Campaign returns the §5 wide-area measurement campaign (memoized).

@@ -107,9 +107,6 @@ func TestConfigDefaults(t *testing.T) {
 	if s.Cfg.Domains != DefaultConfig().Domains || s.Cfg.Seed != DefaultConfig().Seed {
 		t.Fatalf("defaults not applied: %+v", s.Cfg)
 	}
-	if c := DefaultConfig().WithDomains(500); c.Domains != 500 {
-		t.Fatalf("WithDomains broken: %+v", c)
-	}
 }
 
 func TestRankOf(t *testing.T) {

@@ -119,6 +119,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err := shared.RejectStudyFlags("experiments -stream"); err != nil {
 			return fail(err)
 		}
+		if err := shared.Start(nil); err != nil {
+			return fail(err)
+		}
 		out := stdout
 		if *streamOut != "-" {
 			f, err := os.Create(*streamOut)

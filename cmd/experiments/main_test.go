@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -105,5 +107,26 @@ func TestOnlyDiscoveryMatchesRunExperiment(t *testing.T) {
 	}
 	if got := header.ReplaceAllString(stdout.String(), ""); got != want.String() {
 		t.Fatalf("-only discovery output differs from RunExperiment:\n--- got\n%s\n--- want\n%s", got, want.String())
+	}
+}
+
+// TestStreamWritesCPUProfile checks that -cpuprofile is honoured on the
+// streaming path: the run must leave a non-empty gzip-compressed pprof
+// profile behind, not exit 0 with no file.
+func TestStreamWritesCPUProfile(t *testing.T) {
+	dir := t.TempDir()
+	prof := filepath.Join(dir, "exp.prof")
+	var stdout, stderr bytes.Buffer
+	args := []string{"-stream", "-domains", "100", "-vantages", "2",
+		"-stream-out", filepath.Join(dir, "dataset.txt"), "-cpuprofile", prof}
+	if code := run(args, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr.String())
+	}
+	b, err := os.ReadFile(prof)
+	if err != nil {
+		t.Fatalf("no CPU profile written: %v", err)
+	}
+	if len(b) < 2 || b[0] != 0x1f || b[1] != 0x8b {
+		t.Fatalf("CPU profile is %d bytes and does not start with the gzip magic", len(b))
 	}
 }

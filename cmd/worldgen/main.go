@@ -41,6 +41,9 @@ func main() {
 		if streaming.SpillDir != "" {
 			fatal(fmt.Errorf("worldgen streams its CSVs directly and spills nothing; drop -spill-dir"))
 		}
+		if err := shared.Start(nil); err != nil {
+			fatal(err)
+		}
 		if err := streamWorld(*outDir, *seed, *domains, shared.Workers, streaming.ChunkSize); err != nil {
 			fatal(err)
 		}
@@ -136,10 +139,7 @@ func main() {
 // written, and its zones and subdomains released before the next chunk
 // starts, so peak memory is one chunk — not the ranked list's size.
 func streamWorld(outDir string, seed int64, domains, workers, chunkSize int) error {
-	wcfg := deploy.DefaultConfig().Scaled(domains)
-	wcfg.Seed = seed
-	wcfg.Par = parallel.Options{Workers: workers}
-	ws := deploy.GenerateStream(wcfg, chunkSize)
+	ws := deploy.GenerateStream(deploy.Config{Seed: seed, NumDomains: domains, Par: parallel.Options{Workers: workers}}, chunkSize)
 
 	f, err := os.Create(filepath.Join(outDir, "ipranges.txt"))
 	if err != nil {

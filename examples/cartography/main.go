@@ -38,7 +38,7 @@ func main() {
 	}
 
 	// Technique 2: latency. Probe instances in each zone ping targets.
-	lat, err := cartography.IdentifyByLatency(ec2, ref, targets, cartography.DefaultLatencyConfig(), opt)
+	lat, err := cartography.IdentifyByLatency(ec2, ref, targets, cartography.ThresholdMs, opt)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -11,7 +11,7 @@ import (
 func main() {
 	// A Study bundles a generated world with every analysis stage;
 	// stages run lazily and are memoized.
-	study := cloudscope.NewStudy(cloudscope.DefaultConfig().WithDomains(2000))
+	study := cloudscope.NewStudy(cloudscope.Config{Domains: 2000})
 
 	ds := study.Dataset()
 	fmt.Printf("Scanned %d domains with %d DNS queries.\n",

@@ -364,11 +364,9 @@ func runFigure10(s *Study) string {
 	return renderMatrix(s, wan.MetricLatency, "Figure 10: mean latency (ms), clients x US regions")
 }
 
-var usRegions = []string{"ec2.us-east-1", "ec2.us-west-1", "ec2.us-west-2"}
-
 func renderMatrix(s *Study, metric wan.Metric, title string) string {
-	cells := must(s.Campaign().Matrix(metric, usRegions, 15))
-	t := &stats.Table{Title: title, Header: append([]string{"Client"}, usRegions...)}
+	cells := must(s.Campaign().Matrix(metric, wanperf.USRegions, 15))
+	t := &stats.Table{Title: title, Header: append([]string{"Client"}, wanperf.USRegions...)}
 	rowVals := map[string]map[string]float64{}
 	var order []string
 	for _, c := range cells {
@@ -380,7 +378,7 @@ func renderMatrix(s *Study, metric wan.Metric, title string) string {
 	}
 	for _, client := range order {
 		cellsOut := []any{client}
-		for _, r := range usRegions {
+		for _, r := range wanperf.USRegions {
 			cellsOut = append(cellsOut, fmt.Sprintf("%.0f", rowVals[client][r]))
 		}
 		t.AddRow(cellsOut...)
@@ -389,11 +387,11 @@ func renderMatrix(s *Study, metric wan.Metric, title string) string {
 }
 
 func runFigure11(s *Study) string {
-	series := must(s.Campaign().TimeSeries("Boulder", usRegions))
+	series := must(s.Campaign().TimeSeries("Boulder", wanperf.USRegions))
 	var b strings.Builder
 	b.WriteString("Figure 11: Boulder latency (ms) to US regions over time\n")
 	b.WriteString("hour   us-east-1  us-west-1  us-west-2  best\n")
-	n := len(series[usRegions[0]])
+	n := len(series[wanperf.USRegions[0]])
 	step := n / 24
 	if step < 1 {
 		step = 1
@@ -401,7 +399,7 @@ func runFigure11(s *Study) string {
 	for i := 0; i < n; i += step {
 		best, bestV := "", 1e18
 		var vals []float64
-		for _, r := range usRegions {
+		for _, r := range wanperf.USRegions {
 			v := series[r][i].Y
 			vals = append(vals, v)
 			if v < bestV {
@@ -409,7 +407,7 @@ func runFigure11(s *Study) string {
 			}
 		}
 		fmt.Fprintf(&b, "%5.1f  %9.1f  %9.1f  %9.1f  %s\n",
-			series[usRegions[0]][i].X, vals[0], vals[1], vals[2], strings.TrimPrefix(best, "ec2."))
+			series[wanperf.USRegions[0]][i].X, vals[0], vals[1], vals[2], strings.TrimPrefix(best, "ec2."))
 	}
 	return b.String()
 }

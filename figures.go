@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"cloudscope/internal/core/traffic"
+	"cloudscope/internal/core/wanperf"
 	"cloudscope/internal/ipranges"
 	"cloudscope/internal/stats"
 	"cloudscope/internal/wan"
@@ -55,7 +56,7 @@ func (s *Study) FigureSeries(id string) (map[string][]stats.Point, bool) {
 		if id == "figure9" {
 			metric = wan.MetricThroughput
 		}
-		cells := must(s.Campaign().Matrix(metric, usRegions, 15))
+		cells := must(s.Campaign().Matrix(metric, wanperf.USRegions, 15))
 		out := map[string][]stats.Point{}
 		clientIdx := map[string]int{}
 		for _, c := range cells {
@@ -66,7 +67,7 @@ func (s *Study) FigureSeries(id string) (map[string][]stats.Point, bool) {
 		}
 		return out, true
 	case "figure11":
-		return must(s.Campaign().TimeSeries("Boulder", usRegions)), true
+		return must(s.Campaign().TimeSeries("Boulder", wanperf.USRegions)), true
 	case "figure12":
 		lat := must(s.Campaign().OptimalK(wan.MetricLatency, 5))
 		thr := must(s.Campaign().OptimalK(wan.MetricThroughput, 5))

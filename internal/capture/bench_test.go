@@ -9,11 +9,9 @@ import (
 )
 
 func BenchmarkAnalyze(b *testing.B) {
-	cfg := DefaultConfig()
-	cfg.Flows = 2000
 	var buf bytes.Buffer
-	g := NewGenerator(cfg, capWorld)
-	if _, err := g.Generate(pcapio.NewWriter(&buf, cfg.Snaplen)); err != nil {
+	g := NewGenerator(Config{Seed: 1, Flows: 2000}, capWorld)
+	if _, err := g.Generate(pcapio.NewWriter(&buf, Snaplen)); err != nil {
 		b.Fatal(err)
 	}
 	raw := buf.Bytes()
@@ -28,14 +26,13 @@ func BenchmarkAnalyze(b *testing.B) {
 }
 
 func BenchmarkGenerate(b *testing.B) {
-	cfg := DefaultConfig()
-	cfg.Flows = 1000
+	cfg := Config{Flows: 1000}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		cfg.Seed = int64(i)
 		var buf bytes.Buffer
 		g := NewGenerator(cfg, capWorld)
-		if _, err := g.Generate(pcapio.NewWriter(&buf, cfg.Snaplen)); err != nil {
+		if _, err := g.Generate(pcapio.NewWriter(&buf, Snaplen)); err != nil {
 			b.Fatal(err)
 		}
 		b.SetBytes(int64(buf.Len()))

@@ -63,20 +63,13 @@ func (k Kind) String() string {
 // Kinds lists all kinds in the paper's Table 2 row order.
 var Kinds = []Kind{KindICMP, KindHTTP, KindHTTPS, KindDNS, KindOtherTCP, KindOtherUDP}
 
-// Config parameterizes trace generation.
+// Config parameterizes trace generation. The capture always spans the
+// paper's week of June 26 – July 2, 2012.
 type Config struct {
 	Seed int64
 	// Flows is the total number of flows in the capture (the paper's
 	// week at a 7 Gbps border is scaled down; shapes are preserved).
 	Flows int
-	// Days is the capture length (7 in the paper).
-	Days int
-	// Snaplen truncates captured packets (paper captured full packets;
-	// we default to 1514 so header parsing always works while data
-	// volume rides on OrigLen/seq numbers).
-	Snaplen int
-	// Start is the capture start time.
-	Start time.Time
 	// Par bounds and instruments the generator's fan-out (the analyzer
 	// takes its own options in AnalyzePar). The capture is
 	// bit-identical at every worker count and every shard layout: each
@@ -92,17 +85,15 @@ type Config struct {
 	Chaos *chaos.Engine
 }
 
-// DefaultConfig returns a capture config matching the paper's June
-// 26 – July 2, 2012 week, scaled to 60k flows.
-func DefaultConfig() Config {
-	return Config{
-		Seed:    1,
-		Flows:   60000,
-		Days:    7,
-		Snaplen: 1514,
-		Start:   time.Date(2012, 6, 26, 0, 0, 0, 0, time.UTC),
-	}
-}
+// Snaplen is the pcap snap length captures are written with. The
+// paper captured full packets; 1514 keeps every header parseable
+// while data volume rides on OrigLen and sequence numbers.
+const Snaplen = 1514
+
+// The capture window: days days from captureStart, the paper's week.
+const days = 7
+
+var captureStart = time.Date(2012, 6, 26, 0, 0, 0, 0, time.UTC)
 
 // Truth is the generator's ground truth, used to validate the analyzer.
 type Truth struct {

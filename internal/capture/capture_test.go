@@ -15,13 +15,19 @@ import (
 
 // capWorld is a small shared world; the capture only needs host names
 // and front-end IPs.
-var capWorld = must(deploy.Generate(deploy.DefaultConfig().Scaled(2000)))
+var capWorld = must(deploy.Generate(deploy.Config{Seed: 1, NumDomains: 2000}))
 
 func generate(t testing.TB, cfg Config) (*Truth, *Analysis) {
 	t.Helper()
+	return generateSnap(t, cfg, Snaplen)
+}
+
+// generateSnap is generate with the pcap written at snap length snaplen.
+func generateSnap(t testing.TB, cfg Config, snaplen int) (*Truth, *Analysis) {
+	t.Helper()
 	var buf bytes.Buffer
 	g := NewGenerator(cfg, capWorld)
-	w := pcapio.NewWriter(&buf, cfg.Snaplen)
+	w := pcapio.NewWriter(&buf, snaplen)
 	truth, err := g.Generate(w)
 	if err != nil {
 		t.Fatal(err)
@@ -34,9 +40,7 @@ func generate(t testing.TB, cfg Config) (*Truth, *Analysis) {
 }
 
 func testCfg(flows int) Config {
-	cfg := DefaultConfig()
-	cfg.Flows = flows
-	return cfg
+	return Config{Seed: 1, Flows: flows}
 }
 
 func TestFlowCountRecovered(t *testing.T) {
@@ -214,9 +218,7 @@ func TestDurationsWithinCapture(t *testing.T) {
 }
 
 func TestSnapTruncationStillParses(t *testing.T) {
-	cfg := testCfg(1000)
-	cfg.Snaplen = 256 // aggressive truncation
-	_, a := generate(t, cfg)
+	_, a := generateSnap(t, testCfg(1000), 256) // aggressive truncation
 	hosts := 0
 	for _, f := range a.Flows {
 		if f.Kind == KindHTTP && f.Host != "" {
@@ -248,10 +250,10 @@ func TestDeterministicCapture(t *testing.T) {
 	cfg := testCfg(500)
 	g1 := NewGenerator(cfg, capWorld)
 	g2 := NewGenerator(cfg, capWorld)
-	if _, err := g1.Generate(pcapio.NewWriter(&b1, cfg.Snaplen)); err != nil {
+	if _, err := g1.Generate(pcapio.NewWriter(&b1, Snaplen)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := g2.Generate(pcapio.NewWriter(&b2, cfg.Snaplen)); err != nil {
+	if _, err := g2.Generate(pcapio.NewWriter(&b2, Snaplen)); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(b1.Bytes(), b2.Bytes()) {

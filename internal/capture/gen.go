@@ -566,12 +566,12 @@ func (fg *flowgen) lognormalMedian(median, sigma float64, max int64) int64 {
 
 // flowTiming picks a diurnal start time and a transfer duration.
 func (fg *flowgen) flowTiming(bytes int64) (start time.Time, dur time.Duration) {
-	day := fg.rng.Intn(fg.g.cfg.Days)
+	day := fg.rng.Intn(days)
 	hour := fg.g.diurnal.NextR(fg.rng)
 	offset := time.Duration(day)*24*time.Hour +
 		time.Duration(hour)*time.Hour +
 		time.Duration(fg.rng.Intn(3600*1000))*time.Millisecond
-	start = fg.g.cfg.Start.Add(offset)
+	start = captureStart.Add(offset)
 	rate := fg.rng.LogNormal(math.Log(400_000), 1.0) // bytes/sec
 	dur = time.Duration(float64(bytes) / rate * float64(time.Second))
 	if dur < 10*time.Millisecond {

@@ -17,7 +17,7 @@ func genBytes(t testing.TB, cfg Config) ([]byte, *Truth) {
 	t.Helper()
 	var buf bytes.Buffer
 	g := NewGenerator(cfg, capWorld)
-	truth, err := g.Generate(pcapio.NewWriter(&buf, cfg.Snaplen))
+	truth, err := g.Generate(pcapio.NewWriter(&buf, Snaplen))
 	if err != nil {
 		t.Fatal(err)
 	}

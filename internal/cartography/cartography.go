@@ -27,36 +27,27 @@ import (
 	"cloudscope/internal/xrand"
 )
 
-// LatencyConfig parameterizes the latency method.
-type LatencyConfig struct {
-	// ThresholdMs is T: a minimum probe RTT above it means "unknown".
-	ThresholdMs float64
-	// ProbesPerInstance is the TCP pings per probe instance (10).
-	ProbesPerInstance int
-	// Repeats is how many probe instances' measurements are pooled per
+// ThresholdMs is the paper's T: a minimum probe RTT at or above it
+// means "unknown".
+const ThresholdMs = 1.1
+
+// The latency method's probing setup, as in the paper.
+const (
+	// probesPerInstance is the TCP pings per probe instance.
+	probesPerInstance = 10
+	// repeats is how many probe instances' measurements are pooled per
 	// zone (the paper repeated the process 5 times).
-	Repeats int
-	// MissingProbeZones marks (region → zone indexes) where no probe
-	// instance could be launched, as happened to the authors in
-	// ap-northeast-1's second zone.
-	MissingProbeZones map[string][]int
-	// BusyFraction is the share of targets whose host is loaded enough
+	repeats = 5
+	// busyFraction is the share of targets whose host is loaded enough
 	// to inflate even minimum RTTs past useful thresholds — the noise
 	// source behind Table 12's 10–30% unknown rates.
-	BusyFraction float64
-}
+	busyFraction = 0.13
+)
 
-// DefaultLatencyConfig mirrors the paper: T = 1.1 ms, 10 pings, 5
-// repeats, and no probes in ap-northeast-1 zone 1.
-func DefaultLatencyConfig() LatencyConfig {
-	return LatencyConfig{
-		ThresholdMs:       1.1,
-		ProbesPerInstance: 10,
-		Repeats:           5,
-		MissingProbeZones: map[string][]int{"ec2.ap-northeast-1": {1}},
-		BusyFraction:      0.13,
-	}
-}
+// missingProbeZones marks (region → zone indexes) where no probe
+// instance could be launched, as happened to the authors in
+// ap-northeast-1's second zone.
+var missingProbeZones = map[string][]int{"ec2.ap-northeast-1": {1}}
 
 // LatencyOutcome is the latency method's verdict for one target.
 type LatencyOutcome struct {
@@ -95,7 +86,8 @@ type zoneProbes struct {
 // proximity method reports in when acct is its reference, exactly as in
 // the paper where both methods ran from the authors' accounts. A small
 // fraction of targets (2%) are treated as unresponsive, like filtered
-// hosts in the wild.
+// hosts in the wild. thresholdMs is T; the study passes ThresholdMs,
+// and ablations sweep it.
 //
 // Probe launches stay sequential (they move the account's allocation
 // cursors) and visit regions in sorted order; the per-target probing —
@@ -107,7 +99,7 @@ type zoneProbes struct {
 // region-scoped brownouts inflate probe RTTs (pushing more verdicts to
 // "unknown" without ever flipping one); per-region probe accounting
 // lands in opt.Completeness under stage "cartography/latency".
-func IdentifyByLatency(c *cloud.Cloud, acct *cloud.Account, targets []*cloud.Instance, cfg LatencyConfig, opt core.Options) (map[string]*LatencyRegionResult, error) {
+func IdentifyByLatency(c *cloud.Cloud, acct *cloud.Account, targets []*cloud.Instance, thresholdMs float64, opt core.Options) (map[string]*LatencyRegionResult, error) {
 	seed, eng := opt.Seed, opt.Chaos
 	byRegion := map[string][]*cloud.Instance{}
 	var regionOrder []string
@@ -129,7 +121,7 @@ func IdentifyByLatency(c *cloud.Cloud, acct *cloud.Account, targets []*cloud.Ins
 	probesOf := map[string][]zoneProbes{}
 	for _, region := range regionOrder {
 		missing := map[int]bool{}
-		for _, z := range cfg.MissingProbeZones[region] {
+		for _, z := range missingProbeZones[region] {
 			missing[z] = true
 		}
 		var probes []zoneProbes
@@ -138,7 +130,7 @@ func IdentifyByLatency(c *cloud.Cloud, acct *cloud.Account, targets []*cloud.Ins
 				continue
 			}
 			zp := zoneProbes{zone: li}
-			for r := 0; r < cfg.Repeats; r++ {
+			for r := 0; r < repeats; r++ {
 				zp.insts = append(zp.insts, acct.Launch(region, label, "m1.medium"))
 			}
 			probes = append(probes, zp)
@@ -173,7 +165,7 @@ func IdentifyByLatency(c *cloud.Cloud, acct *cloud.Account, targets []*cloud.Ins
 			extraMs := eng.RegionExtraMs(work[i].region, phase)
 			outs[i] = outcome{
 				responding: true,
-				zone:       identifyOne(c, rng, probesOf[work[i].region], work[i].target, cfg, extraMs),
+				zone:       identifyOne(c, rng, probesOf[work[i].region], work[i].target, thresholdMs, extraMs),
 			}
 		}
 		return nil
@@ -226,11 +218,11 @@ func IdentifyByLatency(c *cloud.Cloud, acct *cloud.Account, targets []*cloud.Ins
 // is chaos brownout latency added to every probe's floor; it shifts all
 // of a target's zone minima equally, so it can push verdicts to
 // "unknown" (past the threshold) but never flip one zone to another.
-func identifyOne(c *cloud.Cloud, rng *xrand.Rand, probes []zoneProbes, target *cloud.Instance, cfg LatencyConfig, extraMs float64) int {
+func identifyOne(c *cloud.Cloud, rng *xrand.Rand, probes []zoneProbes, target *cloud.Instance, thresholdMs, extraMs float64) int {
 	// Loaded targets answer slowly no matter who probes them: a stable
 	// per-instance floor that min-of-N cannot strip.
 	busyMs := extraMs
-	if h := idHash(target.ID); float64(h%1000)/1000 < cfg.BusyFraction {
+	if h := idHash(target.ID); float64(h%1000)/1000 < busyFraction {
 		busyMs += 0.4 + float64(h%977)/977*2.6
 	}
 	type zt struct {
@@ -241,7 +233,7 @@ func identifyOne(c *cloud.Cloud, rng *xrand.Rand, probes []zoneProbes, target *c
 	for _, zp := range probes {
 		min := time.Duration(1<<62 - 1)
 		for _, p := range zp.insts {
-			if d := c.MinProbeRTT(rng, p, target, cfg.ProbesPerInstance); d < min {
+			if d := c.MinProbeRTT(rng, p, target, probesPerInstance); d < min {
 				min = d
 			}
 		}
@@ -256,7 +248,7 @@ func identifyOne(c *cloud.Cloud, rng *xrand.Rand, probes []zoneProbes, target *c
 	if len(times) > 1 && times[1].ms-best.ms < 0.02 {
 		return -1
 	}
-	if best.ms >= cfg.ThresholdMs {
+	if best.ms >= thresholdMs {
 		return -1
 	}
 	return best.zone

@@ -28,7 +28,7 @@ func TestLatencyMethodUSEast(t *testing.T) {
 	c := cloud.NewEC2(21)
 	acct := c.NewAccount("probe-acct")
 	targets := launchTargets(c, "ec2.us-east-1", 300)
-	res := must(IdentifyByLatency(c, acct, targets, DefaultLatencyConfig(), core.Options{Seed: 1, Par: parallel.Options{Workers: 1}}))
+	res := must(IdentifyByLatency(c, acct, targets, ThresholdMs, core.Options{Seed: 1, Par: parallel.Options{Workers: 1}}))
 	rr := res["ec2.us-east-1"]
 	if rr == nil || rr.Targets != 300 {
 		t.Fatalf("result: %+v", rr)
@@ -60,7 +60,7 @@ func TestLatencyMethodEuWestErrs(t *testing.T) {
 	c := cloud.NewEC2(22)
 	acct := c.NewAccount("probe-acct")
 	targets := launchTargets(c, "ec2.eu-west-1", 300)
-	res := must(IdentifyByLatency(c, acct, targets, DefaultLatencyConfig(), core.Options{Seed: 2, Par: parallel.Options{Workers: 1}}))
+	res := must(IdentifyByLatency(c, acct, targets, ThresholdMs, core.Options{Seed: 2, Par: parallel.Options{Workers: 1}}))
 	rr := res["ec2.eu-west-1"]
 	wrong, known := 0, 0
 	for _, o := range rr.Outcomes {
@@ -83,7 +83,7 @@ func TestLatencyMissingProbeZone(t *testing.T) {
 	c := cloud.NewEC2(23)
 	acct := c.NewAccount("probe-acct")
 	targets := launchTargets(c, "ec2.ap-northeast-1", 200)
-	res := must(IdentifyByLatency(c, acct, targets, DefaultLatencyConfig(), core.Options{Seed: 3, Par: parallel.Options{Workers: 1}}))
+	res := must(IdentifyByLatency(c, acct, targets, ThresholdMs, core.Options{Seed: 3, Par: parallel.Options{Workers: 1}}))
 	rr := res["ec2.ap-northeast-1"]
 	// One label has no probes: targets in that true zone are unknowable.
 	if rate := rr.UnknownRate(); rate < 0.35 {
@@ -250,7 +250,7 @@ func TestCombinedCoverage(t *testing.T) {
 	}
 	samples := must(SampleAccounts(c, ref, 4, 4, core.Options{Seed: 9, Par: parallel.Options{Workers: 1}}))
 	pm := must(MergeAccounts(samples, "", core.Options{Par: parallel.Options{Workers: 1}}))
-	lat := must(IdentifyByLatency(c, ref, targets, DefaultLatencyConfig(), core.Options{Seed: 10, Par: parallel.Options{Workers: 1}}))
+	lat := must(IdentifyByLatency(c, ref, targets, ThresholdMs, core.Options{Seed: 10, Par: parallel.Options{Workers: 1}}))
 	comb := IdentifyCombined(targets, pm, lat)
 	if comb.Total != len(targets) {
 		t.Fatalf("total = %d", comb.Total)
@@ -295,7 +295,7 @@ func TestVeracityTable(t *testing.T) {
 	}
 	samples := must(SampleAccounts(c, ref, 4, 4, core.Options{Seed: 11, Par: parallel.Options{Workers: 1}}))
 	pm := must(MergeAccounts(samples, "", core.Options{Par: parallel.Options{Workers: 1}}))
-	lat := must(IdentifyByLatency(c, ref, targets, DefaultLatencyConfig(), core.Options{Seed: 12, Par: parallel.Options{Workers: 1}}))
+	lat := must(IdentifyByLatency(c, ref, targets, ThresholdMs, core.Options{Seed: 12, Par: parallel.Options{Workers: 1}}))
 	rows := Veracity(targets, pm, lat)
 	if rows[0].Region != "all" {
 		t.Fatalf("first row %q", rows[0].Region)

@@ -106,12 +106,12 @@ func TestRegionalBrownoutLatencyProbes(t *testing.T) {
 	}
 
 	c0, a0, t0 := build()
-	baseline := must(IdentifyByLatency(c0, a0, t0, DefaultLatencyConfig(), core.Options{Seed: 1}))
+	baseline := must(IdentifyByLatency(c0, a0, t0, ThresholdMs, core.Options{Seed: 1}))
 
 	sc := mustScenario(t, "brownout,region=us-east,add=50ms;loss,p=0.4,region=us-east")
 	c1, a1, t1 := build()
 	comp := telemetry.NewCompleteness()
-	faulted := must(IdentifyByLatency(c1, a1, t1, DefaultLatencyConfig(), core.Options{Seed: 1, Par: parallel.Options{Workers: 3}, Chaos: chaos.New(sc, 17), Completeness: comp}))
+	faulted := must(IdentifyByLatency(c1, a1, t1, ThresholdMs, core.Options{Seed: 1, Par: parallel.Options{Workers: 3}, Chaos: chaos.New(sc, 17), Completeness: comp}))
 
 	// The unfaulted region is untouched, byte for byte.
 	if renderLat(map[string]*LatencyRegionResult{"ec2.eu-west-1": faulted["ec2.eu-west-1"]}) !=
@@ -152,7 +152,7 @@ func TestCartographyChaosWorkerInvariant(t *testing.T) {
 		targets = append(targets, launchTargets(c, "ec2.eu-west-1", 150)...)
 		eng := chaos.New(sc, 7)
 		comp := telemetry.NewCompleteness()
-		lat := must(IdentifyByLatency(c, acct, targets, DefaultLatencyConfig(), core.Options{Seed: 1, Par: parallel.Options{Workers: workers}, Chaos: eng, Completeness: comp}))
+		lat := must(IdentifyByLatency(c, acct, targets, ThresholdMs, core.Options{Seed: 1, Par: parallel.Options{Workers: workers}, Chaos: eng, Completeness: comp}))
 		samples := must(SampleAccounts(c, acct, 3, 2, core.Options{Seed: 5, Par: parallel.Options{Workers: workers}, Chaos: eng, Completeness: comp}))
 		return renderLat(lat), renderSamples(samples), comp.Report()
 	}

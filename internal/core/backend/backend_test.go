@@ -8,7 +8,7 @@ import (
 )
 
 var (
-	world = must(deploy.Generate(deploy.DefaultConfig().Scaled(2500)))
+	world = must(deploy.Generate(deploy.Config{Seed: 1, NumDomains: 2500}))
 	an    = Analyze(world)
 )
 

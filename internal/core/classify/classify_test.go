@@ -8,7 +8,7 @@ import (
 )
 
 var (
-	world = must(deploy.Generate(deploy.DefaultConfig().Scaled(1500)))
+	world = must(deploy.Generate(deploy.Config{Seed: 1, NumDomains: 1500}))
 	ds    = buildDataset()
 	bd    = Classify(ds)
 )

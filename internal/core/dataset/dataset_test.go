@@ -9,7 +9,7 @@ import (
 
 // world and ds are shared: dataset building is the expensive step.
 var (
-	world = must(deploy.Generate(deploy.DefaultConfig().Scaled(1200)))
+	world = must(deploy.Generate(deploy.Config{Seed: 1, NumDomains: 1200}))
 	ds    = buildForWorld(world, 0)
 )
 

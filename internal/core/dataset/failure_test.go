@@ -16,7 +16,7 @@ import (
 // a delegation's name servers.
 
 func TestDiscoveryUnderPacketLoss(t *testing.T) {
-	w := must(deploy.Generate(deploy.DefaultConfig().Scaled(400)))
+	w := must(deploy.Generate(deploy.Config{Seed: 1, NumDomains: 400}))
 	names := make([]string, 0, len(w.Domains))
 	for _, d := range w.Domains {
 		names = append(names, d.Name)
@@ -51,7 +51,7 @@ func TestDiscoveryUnderPacketLoss(t *testing.T) {
 }
 
 func TestDiscoveryUnderHeavyLossIsLowerBound(t *testing.T) {
-	w := must(deploy.Generate(deploy.DefaultConfig().Scaled(300)))
+	w := must(deploy.Generate(deploy.Config{Seed: 1, NumDomains: 300}))
 	names := make([]string, 0, len(w.Domains))
 	for _, d := range w.Domains {
 		names = append(names, d.Name)

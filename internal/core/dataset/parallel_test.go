@@ -13,7 +13,7 @@ import (
 // simulated-clock-dependent state, so builds only compare equal when
 // each starts from an identical clock.
 func freshWorld() *deploy.World {
-	return must(deploy.Generate(deploy.DefaultConfig().Scaled(200)))
+	return must(deploy.Generate(deploy.Config{Seed: 1, NumDomains: 200}))
 }
 
 func buildWith(w *deploy.World, workers int) *Dataset {

@@ -12,7 +12,7 @@ import (
 )
 
 var (
-	world = must(deploy.Generate(deploy.DefaultConfig().Scaled(1500)))
+	world = must(deploy.Generate(deploy.Config{Seed: 1, NumDomains: 1500}))
 	ds    = buildDataset()
 	det   = must(patterns.DetectAllPar(ds, parallel.Options{}))
 	an    = must(AnalyzePar(ds, det, parallel.Options{}))

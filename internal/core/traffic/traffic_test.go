@@ -14,12 +14,10 @@ import (
 var analysis = buildAnalysis()
 
 func buildAnalysis() *capture.Analysis {
-	world := must(deploy.Generate(deploy.DefaultConfig().Scaled(1000)))
-	cfg := capture.DefaultConfig()
-	cfg.Flows = 3000
+	world := must(deploy.Generate(deploy.Config{Seed: 1, NumDomains: 1000}))
 	var buf bytes.Buffer
-	g := capture.NewGenerator(cfg, world)
-	if _, err := g.Generate(pcapio.NewWriter(&buf, cfg.Snaplen)); err != nil {
+	g := capture.NewGenerator(capture.Config{Seed: 1, Flows: 3000}, world)
+	if _, err := g.Generate(pcapio.NewWriter(&buf, capture.Snaplen)); err != nil {
 		panic(err)
 	}
 	a, err := capture.AnalyzePar(&buf, world.Ranges, parallel.Options{Workers: 1})

@@ -42,6 +42,10 @@ type Campaign struct {
 	core.Options
 }
 
+// USRegions are the paper's Figure 9–11 region restriction: the
+// matrices and the best-region series measure only these.
+var USRegions = []string{"ec2.us-east-1", "ec2.us-west-1", "ec2.us-west-2"}
+
 // NewCampaign builds the paper's default campaign over regions.
 func NewCampaign(seed int64, clients int, regions []string) *Campaign {
 	return &Campaign{

@@ -11,8 +11,6 @@ import (
 	"cloudscope/internal/wan"
 )
 
-var usRegions = []string{"ec2.us-east-1", "ec2.us-west-1", "ec2.us-west-2"}
-
 func newCampaign() *Campaign {
 	c := NewCampaign(3, 80, ipranges.EC2Regions)
 	c.Rounds = 96 // one day at 15-minute rounds keeps tests quick
@@ -21,7 +19,7 @@ func newCampaign() *Campaign {
 
 func TestMatrixShapes(t *testing.T) {
 	c := newCampaign()
-	lat := must(c.Matrix(wan.MetricLatency, usRegions, 15))
+	lat := must(c.Matrix(wan.MetricLatency, USRegions, 15))
 	if len(lat) != 15*3 {
 		t.Fatalf("cells = %d", len(lat))
 	}
@@ -44,7 +42,7 @@ func TestMatrixShapes(t *testing.T) {
 			t.Fatalf("Seattle latency ratio %.1f, want factor >2 (paper: ~6)", m["ec2.us-east-1"]/m["ec2.us-west-2"])
 		}
 	}
-	thr := must(c.Matrix(wan.MetricThroughput, usRegions, 15))
+	thr := must(c.Matrix(wan.MetricThroughput, USRegions, 15))
 	for _, cell := range thr {
 		if cell.Mean < 10 || cell.Mean > 20000 {
 			t.Fatalf("throughput cell %+v implausible", cell)
@@ -54,7 +52,7 @@ func TestMatrixShapes(t *testing.T) {
 
 func TestBoulderSeries(t *testing.T) {
 	c := newCampaign()
-	series := must(c.TimeSeries("Boulder", usRegions))
+	series := must(c.TimeSeries("Boulder", USRegions))
 	if len(series) != 3 {
 		t.Fatalf("series = %d", len(series))
 	}
@@ -82,7 +80,7 @@ func TestBoulderSeries(t *testing.T) {
 	if series["ec2.us-east-1"][0].X != 0 {
 		t.Fatal("series X should start at hour 0")
 	}
-	if _, ok := must(c.TimeSeries("Nowhere", usRegions))["ec2.us-east-1"]; ok {
+	if _, ok := must(c.TimeSeries("Nowhere", USRegions))["ec2.us-east-1"]; ok {
 		t.Fatal("unknown client should yield nil")
 	}
 }

@@ -17,29 +17,13 @@ import (
 	"cloudscope/internal/stats"
 )
 
-// Config parameterizes the zone study.
-type Config struct {
-	// Accounts and SamplesPerZone control proximity sampling (the paper
-	// had 5,096 samples across several accounts).
-	Accounts       int
-	SamplesPerZone int
-	Latency        cartography.LatencyConfig
-	// Options is the cartography run context: Par controls the
-	// probing fan-out (results are identical at every worker count),
-	// Chaos injects account outages and regional probe faults, and
-	// Completeness records the resulting coverage.
-	core.Options
-}
-
-// DefaultConfig mirrors the paper's setup at library scale.
-func DefaultConfig() Config {
-	return Config{
-		Accounts:       6,
-		SamplesPerZone: 8,
-		Latency:        cartography.DefaultLatencyConfig(),
-		Options:        core.Options{Seed: 1},
-	}
-}
+// Proximity sampling: measurement accounts (the reference included)
+// and instances launched per zone per account (the paper had 5,096
+// samples across several accounts).
+const (
+	accounts       = 6
+	samplesPerZone = 8
+)
 
 // ZoneKey identifies one availability zone (reference label space).
 type ZoneKey struct {
@@ -63,9 +47,13 @@ type Study struct {
 	subDomain map[string]string
 }
 
-// Run executes the study over a dataset's detection results. It errors
-// only when a cartography worker panics or cfg.Par.Ctx is cancelled.
-func Run(ds *dataset.Dataset, det *patterns.Result, ec2 *cloud.Cloud, cfg Config) (*Study, error) {
+// Run executes the study over a dataset's detection results. opt is
+// the cartography run context: Par controls the probing fan-out
+// (results are identical at every worker count), Chaos injects account
+// outages and regional probe faults, and Completeness records the
+// resulting coverage. Run errors only when a cartography worker panics
+// or opt.Par.Ctx is cancelled.
+func Run(ds *dataset.Dataset, det *patterns.Result, ec2 *cloud.Cloud, opt core.Options) (*Study, error) {
 	s := &Study{
 		Cloud:     ec2,
 		SubZones:  map[string][]ZoneKey{},
@@ -102,13 +90,13 @@ func Run(ds *dataset.Dataset, det *patterns.Result, ec2 *cloud.Cloud, cfg Config
 	// Cartography.
 	s.Ref = ec2.NewAccount("zones-reference")
 	var err error
-	if s.Samples, err = cartography.SampleAccounts(ec2, s.Ref, cfg.Accounts-1, cfg.SamplesPerZone, cfg.Options); err != nil {
+	if s.Samples, err = cartography.SampleAccounts(ec2, s.Ref, accounts-1, samplesPerZone, opt); err != nil {
 		return nil, err
 	}
-	if s.PM, err = cartography.MergeAccounts(s.Samples, s.Ref.Name, cfg.Options); err != nil {
+	if s.PM, err = cartography.MergeAccounts(s.Samples, s.Ref.Name, opt); err != nil {
 		return nil, err
 	}
-	if s.Lat, err = cartography.IdentifyByLatency(ec2, s.Ref, s.Targets, cfg.Latency, cfg.Options); err != nil {
+	if s.Lat, err = cartography.IdentifyByLatency(ec2, s.Ref, s.Targets, cartography.ThresholdMs, opt); err != nil {
 		return nil, err
 	}
 	s.Combined = cartography.IdentifyCombined(s.Targets, s.PM, s.Lat)

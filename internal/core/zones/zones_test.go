@@ -3,6 +3,7 @@ package zones
 import (
 	"testing"
 
+	"cloudscope/internal/core"
 	"cloudscope/internal/core/dataset"
 	"cloudscope/internal/core/patterns"
 	"cloudscope/internal/deploy"
@@ -11,10 +12,10 @@ import (
 )
 
 var (
-	world = must(deploy.Generate(deploy.DefaultConfig().Scaled(1500)))
+	world = must(deploy.Generate(deploy.Config{Seed: 1, NumDomains: 1500}))
 	ds    = buildDataset()
 	det   = must(patterns.DetectAllPar(ds, parallel.Options{}))
-	study = must(Run(ds, det, world.EC2, DefaultConfig()))
+	study = must(Run(ds, det, world.EC2, core.Options{Seed: 1}))
 )
 
 func buildDataset() *dataset.Dataset {

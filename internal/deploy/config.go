@@ -16,43 +16,14 @@ import (
 	"cloudscope/internal/parallel"
 )
 
-// Config parameterizes world generation. The zero value is not useful;
-// start from DefaultConfig.
+// Config parameterizes world generation: the seed, the ranked-list
+// size, and the plan-phase fan-out. Everything else about the world is
+// the paper's calibration, fixed in the constants and tables below.
 type Config struct {
 	Seed int64
 	// NumDomains is the size of the ranked list (the paper's "top 1M",
 	// scaled).
 	NumDomains int
-	// CloudFraction is the fraction of ranked domains using EC2/Azure
-	// (~4% in the paper).
-	CloudFraction float64
-	// TopQuarterShare is the fraction of cloud-using domains that fall
-	// in the top quarter of the ranking (0.423 in the paper).
-	TopQuarterShare float64
-	// MeanCloudSubs controls the heavy-tailed number of cloud-using
-	// subdomains per cloud-using domain (paper mean ≈ 17.7).
-	MeanCloudSubs float64
-	// MaxCloudSubs caps the tail.
-	MaxCloudSubs int
-	// WordlistBias is the probability a subdomain label is drawn from
-	// the brute-force dictionary (labels outside it are invisible to
-	// dnsmap-style discovery, keeping results a lower bound).
-	WordlistBias float64
-	// AXFRFraction is the fraction of domains answering zone transfers
-	// (~8% of the paper's 1M).
-	AXFRFraction float64
-	// GeoAffinity is the probability a domain's home region is chosen
-	// near its customer country rather than by global popularity.
-	GeoAffinity float64
-	// HerokuPoolSize is the size of Heroku's shared routing pool (94
-	// distinct IPs in the paper, scaled by default).
-	HerokuPoolSize int
-	// BackendFraction is the probability a VM-front subdomain also runs
-	// back-end instances (databases, caches, workers). Back ends are
-	// invisible to DNS — the paper explicitly left them to future work —
-	// but the generator plants them so the extension analysis in
-	// internal/core/backend has ground truth to study.
-	BackendFraction float64
 	// Par bounds and instruments the generator's plan-phase fan-out.
 	// The generated world is bit-identical at every worker count: domain
 	// plans run in parallel on per-domain split streams, and all shared
@@ -60,31 +31,39 @@ type Config struct {
 	Par parallel.Options
 }
 
-// DefaultConfig returns the paper-calibrated configuration at 50k-domain
-// scale (the "top 1M" scaled 20x down).
-func DefaultConfig() Config {
-	return Config{
-		Seed:            1,
-		NumDomains:      50000,
-		CloudFraction:   0.04,
-		TopQuarterShare: 0.423,
-		MeanCloudSubs:   17.7,
-		MaxCloudSubs:    400,
-		WordlistBias:    0.90,
-		AXFRFraction:    0.08,
-		GeoAffinity:     0.50,
-		HerokuPoolSize:  24,
-		BackendFraction: 0.5,
-	}
-}
+const (
+	// cloudFraction is the fraction of ranked domains using EC2/Azure
+	// (~4% in the paper).
+	cloudFraction = 0.04
+	// topQuarterShare is the fraction of cloud-using domains that fall
+	// in the top quarter of the ranking (0.423 in the paper).
+	topQuarterShare = 0.423
+	// meanCloudSubs controls the heavy-tailed number of cloud-using
+	// subdomains per cloud-using domain (paper mean ≈ 17.7).
+	meanCloudSubs = 17.7
+	// maxCloudSubs caps the tail.
+	maxCloudSubs = 400
+	// wordlistBias is the probability a subdomain label is drawn from
+	// the brute-force dictionary (labels outside it are invisible to
+	// dnsmap-style discovery, keeping results a lower bound).
+	wordlistBias = 0.90
+	// axfrFraction is the fraction of domains answering zone transfers
+	// (~8% of the paper's 1M).
+	axfrFraction = 0.08
+	// geoAffinity is the probability a domain's home region is chosen
+	// near its customer country rather than by global popularity.
+	geoAffinity = 0.50
+	// backendFraction is the probability a VM-front subdomain also runs
+	// back-end instances (databases, caches, workers). Back ends are
+	// invisible to DNS — the paper explicitly left them to future work —
+	// but the generator plants them so the extension analysis in
+	// internal/core/backend has ground truth to study.
+	backendFraction = 0.5
+)
 
-// Scaled returns the config with NumDomains set to n and pools scaled
-// proportionally; used by tests and benchmarks.
-func (c Config) Scaled(n int) Config {
-	c.NumDomains = n
-	c.HerokuPoolSize = 6 + n/5000
-	return c
-}
+// herokuPoolSize is the size of Heroku's shared routing pool (94
+// distinct IPs in the paper), scaled with the n-domain list.
+func herokuPoolSize(n int) int { return 6 + n/5000 }
 
 // Pattern is a subdomain's ground-truth front-end deployment shape.
 type Pattern string

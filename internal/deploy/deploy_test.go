@@ -11,7 +11,7 @@ import (
 )
 
 // testWorld is shared across tests: generation is the expensive step.
-var testW = must(Generate(DefaultConfig().Scaled(4000)))
+var testW = must(Generate(Config{Seed: 1, NumDomains: 4000}))
 
 func TestCloudFraction(t *testing.T) {
 	frac := float64(len(testW.CloudDomains)) / float64(len(testW.Domains))
@@ -395,8 +395,8 @@ func regionCountry(region string) string {
 }
 
 func TestDeterminism(t *testing.T) {
-	a := must(Generate(DefaultConfig().Scaled(300)))
-	b := must(Generate(DefaultConfig().Scaled(300)))
+	a := must(Generate(Config{Seed: 1, NumDomains: 300}))
+	b := must(Generate(Config{Seed: 1, NumDomains: 300}))
 	if len(a.CloudDomains) != len(b.CloudDomains) {
 		t.Fatalf("cloud domain counts differ: %d vs %d", len(a.CloudDomains), len(b.CloudDomains))
 	}

@@ -16,9 +16,7 @@ import (
 // fabric rebinds a reused address silently, so a collision shows only
 // as one of the two zones going dark there.
 func TestNameServerAddressesServeTheirZones(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.NumDomains = 1_100_000
-	w := newWorld(cfg, true)
+	w := newWorld(Config{Seed: 1, NumDomains: 1_100_000}, true)
 	src := netaddr.MustParseIP("198.51.100.7")
 	serves := func(ip netaddr.IP, origin string) bool {
 		q, err := dnswire.NewQuery(1, origin, dnswire.TypeSOA).Pack()

@@ -75,8 +75,8 @@ func newGenParams(cfg Config) genParams {
 	// rest chosen so the overall fraction and top-quarter share match.
 	return genParams{
 		quarter: cfg.NumDomains / 4,
-		pTop:    cfg.CloudFraction * cfg.TopQuarterShare / 0.25,
-		pRest:   cfg.CloudFraction * (1 - cfg.TopQuarterShare) / 0.75,
+		pTop:    cloudFraction * topQuarterShare / 0.25,
+		pRest:   cloudFraction * (1 - topQuarterShare) / 0.75,
 		forced:  anchorNames(),
 	}
 }
@@ -98,7 +98,7 @@ func (w *World) deployChunk(rng *xrand.Rand, ads []*alexa.Domain, gp genParams) 
 	}
 	axfr := make([]bool, len(ads))
 	for i := range ads {
-		axfr[i] = rng.Bool(w.Cfg.AXFRFraction)
+		axfr[i] = rng.Bool(axfrFraction)
 	}
 
 	base := ads[0].Rank - 1
@@ -145,7 +145,7 @@ func (w *World) planDomain(rng *xrand.Rand, ad *alexa.Domain, axfr bool, quarter
 	// 53% of subdomains hosted in their customer country while
 	// us-east alone holds 73% — only possible if the cloud-using
 	// population is US-heavy). The bias factors keep the overall
-	// adoption rate at CloudFraction.
+	// adoption rate at cloudFraction.
 	if d.CustomerCountry == "US" {
 		prob *= 2.2 / 1.15
 	} else {
@@ -178,7 +178,7 @@ func (w *World) planDomain(rng *xrand.Rand, ad *alexa.Domain, axfr bool, quarter
 
 // deployPlainDomain gives a non-cloud domain a few ordinary subdomains.
 func (w *World) deployPlainDomain(p *domainPlan, rng *xrand.Rand, d *Domain) {
-	labels := newLabelPicker(rng, w.Cfg.WordlistBias)
+	labels := newLabelPicker(rng, wordlistBias)
 	n := rng.Range(1, 5)
 	for i := 0; i < n; i++ {
 		label, inList := labels.next()
@@ -200,17 +200,17 @@ func (w *World) deployCloudDomain(p *domainPlan, rng *xrand.Rand, d *Domain) {
 	}
 	d.HomeRegion = w.pickRegion(rng, primary, d.CustomerCountry)
 
-	// Heavy-tailed cloud subdomain count with the configured mean.
-	alpha := 1.0 + 1.0/(w.Cfg.MeanCloudSubs-1.0)*2.4
+	// Heavy-tailed cloud subdomain count with the paper's mean.
+	alpha := 1.0 + 1.0/(meanCloudSubs-1.0)*2.4
 	n := int(rng.Pareto(alpha, 1.2))
 	if n < 1 {
 		n = 1
 	}
-	if n > w.Cfg.MaxCloudSubs {
-		n = w.Cfg.MaxCloudSubs
+	if n > maxCloudSubs {
+		n = maxCloudSubs
 	}
 
-	labels := newLabelPicker(rng, w.Cfg.WordlistBias)
+	labels := newLabelPicker(rng, wordlistBias)
 	for i := 0; i < n; i++ {
 		label, inList := labels.next()
 		provider := primary
@@ -483,7 +483,7 @@ func (w *World) deployVMFront(p *domainPlan, rng *xrand.Rand, d *Domain, s *Subd
 // plan will launch — the sequential code checked len(s.VMs), which is
 // not populated until commit.
 func (w *World) deployBackends(p *domainPlan, rng *xrand.Rand, s *Subdomain, homeRegion string, plannedVMs int) {
-	if !rng.Bool(w.Cfg.BackendFraction) || plannedVMs == 0 {
+	if !rng.Bool(backendFraction) || plannedVMs == 0 {
 		return
 	}
 	n := rng.Range(1, 3)

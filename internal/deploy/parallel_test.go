@@ -16,9 +16,7 @@ func worldDigest(w *World) string {
 }
 
 func genDigest(seed int64, domains, workers, shardSize int) string {
-	cfg := DefaultConfig().Scaled(domains)
-	cfg.Seed = seed
-	cfg.Par = parallel.Options{Workers: workers, ShardSize: shardSize}
+	cfg := Config{Seed: seed, NumDomains: domains, Par: parallel.Options{Workers: workers, ShardSize: shardSize}}
 	return worldDigest(must(Generate(cfg)))
 }
 
@@ -46,9 +44,7 @@ func TestGenerateWorkerCountInvariant(t *testing.T) {
 func BenchmarkWorldGenWorkers(b *testing.B) {
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			cfg := DefaultConfig().Scaled(1000)
-			cfg.Seed = 5
-			cfg.Par = parallel.Options{Workers: workers}
+			cfg := Config{Seed: 5, NumDomains: 1000, Par: parallel.Options{Workers: workers}}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				must(Generate(cfg))

@@ -32,7 +32,7 @@ func TestStreamingPeakHeapBudget(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	sampler := runtimeprof.Start(reg, 10*time.Millisecond)
 
-	ws := GenerateStream(DefaultConfig().Scaled(size), 4096)
+	ws := GenerateStream(Config{Seed: 1, NumDomains: size}, 4096)
 	n := 0
 	for {
 		chunk, err := ws.Next()

@@ -293,7 +293,7 @@ func newWorld(cfg Config, streaming bool) *World {
 		w.Azure.SetRetain(false)
 	}
 	w.otherIPs = newOtherAllocator(ranges)
-	w.Heroku = cloud.NewHeroku(w.EC2, cfg.HerokuPoolSize)
+	w.Heroku = cloud.NewHeroku(w.EC2, herokuPoolSize(cfg.NumDomains))
 
 	// Wide-area-ish DNS latency: a stable per-pair one-way delay in
 	// 5–90 ms, so measurement campaigns consume plausible simulated
@@ -326,7 +326,7 @@ func (w *World) deployProviderZones() {
 }
 
 // pickRegion selects a home region for a domain, geo-affine with
-// probability cfg.GeoAffinity.
+// probability geoAffinity.
 func (w *World) pickRegion(rng *xrand.Rand, provider ipranges.Provider, customerCountry string) string {
 	weights := regionWeightsEC2
 	continents := continentRegionsEC2
@@ -334,7 +334,7 @@ func (w *World) pickRegion(rng *xrand.Rand, provider ipranges.Provider, customer
 		weights = regionWeightsAzure
 		continents = continentRegionsAzure
 	}
-	if customerCountry != "" && rng.Bool(w.Cfg.GeoAffinity) {
+	if customerCountry != "" && rng.Bool(geoAffinity) {
 		// Exact-country regions first (US customers overwhelmingly land
 		// in US regions), then same-continent.
 		var exact []string

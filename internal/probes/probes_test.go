@@ -11,7 +11,7 @@ import (
 	"cloudscope/internal/wan"
 )
 
-var world = must(deploy.Generate(deploy.DefaultConfig().Scaled(400)))
+var world = must(deploy.Generate(deploy.Config{Seed: 1, NumDomains: 400}))
 
 func newProber(idx int) *Prober {
 	return New(Config{

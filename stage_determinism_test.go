@@ -43,10 +43,7 @@ func stageHashes(t *testing.T, seed int64, workers int) map[string]string {
 	}
 
 	// Stage 1: world synthesis.
-	wcfg := deploy.DefaultConfig().Scaled(400)
-	wcfg.Seed = seed
-	wcfg.Par = opt
-	world := must(deploy.Generate(wcfg))
+	world := must(deploy.Generate(deploy.Config{Seed: seed, NumDomains: 400, Par: opt}))
 	digest("world", func(h *sha256Writer) { world.DumpTruth(h) })
 
 	// Stage 2: subdomain discovery over the world.
@@ -69,13 +66,9 @@ func stageHashes(t *testing.T, seed int64, workers int) map[string]string {
 	})
 
 	// Stage 3: border capture generation and analysis.
-	ccfg := capture.DefaultConfig()
-	ccfg.Seed = seed
-	ccfg.Flows = 500
-	ccfg.Par = opt
 	var pcap bytes.Buffer
-	g := capture.NewGenerator(ccfg, world)
-	if _, err := g.Generate(pcapio.NewWriter(&pcap, ccfg.Snaplen)); err != nil {
+	g := capture.NewGenerator(capture.Config{Seed: seed, Flows: 500, Par: opt}, world)
+	if _, err := g.Generate(pcapio.NewWriter(&pcap, capture.Snaplen)); err != nil {
 		t.Fatal(err)
 	}
 	digest("capture", func(h *sha256Writer) { h.Write(pcap.Bytes()) })
@@ -118,9 +111,7 @@ var streamChunkSizes = []int{1, 7, 1000, 0}
 // for the in-memory world.
 func streamedWorldHash(t *testing.T, seed int64, workers, chunk int) string {
 	t.Helper()
-	wcfg := deploy.DefaultConfig().Scaled(400)
-	wcfg.Seed = seed
-	wcfg.Par = parallel.Options{Workers: workers, ShardSize: 19}
+	wcfg := deploy.Config{Seed: seed, NumDomains: 400, Par: parallel.Options{Workers: workers, ShardSize: 19}}
 	ws := deploy.GenerateStream(wcfg, chunk)
 	h := &sha256Writer{}
 	for {
@@ -141,9 +132,7 @@ func streamedWorldHash(t *testing.T, seed int64, workers, chunk int) string {
 // chunk-streamed world and hashes the merged text dataset.
 func streamedDatasetHash(t *testing.T, seed int64, workers, chunk int) string {
 	t.Helper()
-	wcfg := deploy.DefaultConfig().Scaled(400)
-	wcfg.Seed = seed
-	wcfg.Par = parallel.Options{Workers: workers, ShardSize: 19}
+	wcfg := deploy.Config{Seed: seed, NumDomains: 400, Par: parallel.Options{Workers: workers, ShardSize: 19}}
 	ws := deploy.GenerateStream(wcfg, chunk)
 	w := ws.World()
 	sb, err := dataset.NewStreamBuilder(dataset.StreamConfig{
@@ -239,13 +228,9 @@ func (w *sha256Writer) Sum() string { return fmt.Sprintf("%x", sha256.Sum256(w.d
 // parallelism layout and returns its content hash.
 func capturePcapHash(t *testing.T, world *deploy.World, seed int64, opt parallel.Options) string {
 	t.Helper()
-	ccfg := capture.DefaultConfig()
-	ccfg.Seed = seed
-	ccfg.Flows = 500
-	ccfg.Par = opt
 	var pcap bytes.Buffer
-	g := capture.NewGenerator(ccfg, world)
-	if _, err := g.Generate(pcapio.NewWriter(&pcap, ccfg.Snaplen)); err != nil {
+	g := capture.NewGenerator(capture.Config{Seed: seed, Flows: 500, Par: opt}, world)
+	if _, err := g.Generate(pcapio.NewWriter(&pcap, capture.Snaplen)); err != nil {
 		t.Fatal(err)
 	}
 	return fmt.Sprintf("%x", sha256.Sum256(pcap.Bytes()))
@@ -263,9 +248,7 @@ func TestCapturePcapLayoutDeterminism(t *testing.T) {
 		t.Skip("generates the capture under many layouts")
 	}
 	const seed = 3
-	wcfg := deploy.DefaultConfig().Scaled(400)
-	wcfg.Seed = seed
-	world := must(deploy.Generate(wcfg))
+	world := must(deploy.Generate(deploy.Config{Seed: seed, NumDomains: 400}))
 	golden := capturePcapHash(t, world, seed, parallel.Options{Workers: 1})
 	for _, workers := range stageWorkerCounts() {
 		for _, shard := range []int{0, 1, 19, 128} {

@@ -36,10 +36,7 @@ func StreamDataset(cfg Config, chunkSize int, spillDir string, out io.Writer) (d
 	}
 	cfg = cfg.withDefaults()
 
-	wcfg := deploy.DefaultConfig().Scaled(cfg.Domains)
-	wcfg.Seed = cfg.Seed
-	wcfg.Par = parallel.Options{Workers: cfg.Workers}
-	ws := deploy.GenerateStream(wcfg, chunkSize)
+	ws := deploy.GenerateStream(deploy.Config{Seed: cfg.Seed, NumDomains: cfg.Domains, Par: parallel.Options{Workers: cfg.Workers}}, chunkSize)
 	w := ws.World()
 
 	sb, err := dataset.NewStreamBuilder(dataset.StreamConfig{
