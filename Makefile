@@ -11,6 +11,7 @@ build:
 
 # Static analysis plus race-detector runs over the packages with the
 # hottest concurrent paths (telemetry instruments, fabric, resolver,
+# the chaos engine and the fault-trace recorder every worker writes,
 # the worker pool, and every parallelized analysis stage), plus a
 # repeated small-shard stress run that forces shard-boundary
 # interleavings in the pool. It runs each DESIGN.md §5 ablation
@@ -27,7 +28,7 @@ check:
 	$(GO) test -race ./internal/telemetry ./internal/simnet ./internal/dnssrv \
 		./internal/parallel ./internal/core/patterns ./internal/core/regions \
 		./internal/core/zones ./internal/core/wanperf ./internal/cartography \
-		./internal/wan
+		./internal/wan ./internal/chaos ./internal/chaos/trace
 	$(GO) test -race -count=5 -run TestStressShardBoundaries ./internal/parallel
 	$(GO) test -race -count=5 -run 'WorkerCountInvariant|ArrivalOrderInvariant' \
 		./internal/deploy ./internal/core/dataset ./internal/capture ./internal/cartography
@@ -69,7 +70,7 @@ chaos:
 	$(GO) test ./internal/chaos ./internal/chaos/trace
 	$(GO) test -run 'UnderLoss|Chaos|Outage|Brownout|ServFail|Backoff' \
 		./internal/core/dataset ./internal/cartography ./internal/core/wanperf ./internal/dnssrv
-	$(GO) test -run 'TestChaosDeterminism|TestChaosChangesOutcomes|TestChaosCaptureCompleteness|TestChaosRecordReplay|TestChaosBisect' .
+	$(GO) test -run 'TestChaosDeterminism|TestChaosChangesOutcomes|TestChaosCaptureCompleteness|TestChaosRecordReplay|TestChaosBisect|TestFaultTraceDiffSameSeedEmpty' .
 
 # The fault-forensics loop in miniature, under the race detector:
 # record a faulted study's trace, replay it byte-identically, and

@@ -32,9 +32,14 @@ func captureTrace(t *testing.T, seed int64, workers int) *trace.Trace {
 // TestFaultTraceDiffSameSeedEmpty: two recorded runs of the same seed —
 // even at different worker counts — produce byte-identical verdict
 // sets, so their diff is empty; a seed change produces a readable delta
-// that includes the capture-layer decision points.
+// that includes the capture-layer decision points. The seed-3 trace's
+// bytes are pinned: it is the one root-level trace that records the
+// capture decision points.
 func TestFaultTraceDiffSameSeedEmpty(t *testing.T) {
 	a := captureTrace(t, 3, 1)
+	if got, want := traceSHA(t, a), "22e760c92b260030778b240a2091a2b6cc9282d201392778d4022dcf1c6442d5"; got != want {
+		t.Errorf("hostile-capture seed-3 trace sha256 = %s, want %s", got, want)
+	}
 	b := captureTrace(t, 3, 4)
 	if d := trace.Diff(a, b); !d.Empty() {
 		t.Fatalf("same-seed runs diff non-empty:\n%s", d)

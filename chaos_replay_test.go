@@ -2,6 +2,7 @@ package cloudscope
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"runtime"
 	"testing"
@@ -33,6 +34,12 @@ func traceBytes(t *testing.T, tr *trace.Trace) string {
 	return buf.String()
 }
 
+// traceSHA is the hex sha256 of a trace's serialized bytes.
+func traceSHA(t *testing.T, tr *trace.Trace) string {
+	t.Helper()
+	return fmt.Sprintf("%x", sha256.Sum256([]byte(traceBytes(t, tr))))
+}
+
 // recordRun executes every experiment with the recorder armed and
 // returns the golden outputs plus the fault trace.
 func recordRun(t *testing.T, cfg Config) (map[string]string, string, *trace.Trace) {
@@ -53,7 +60,9 @@ func recordRun(t *testing.T, cfg Config) (map[string]string, string, *trace.Trac
 // and Workers=GOMAXPROCS, for two seeds of two scenarios (cascade
 // carries correlated-failure triggers). The recorded trace itself is
 // also canonical: recording at any worker count yields the same bytes,
-// so a trace file never encodes the machine that produced it.
+// so a trace file never encodes the machine that produced it, and its
+// seed-3 bytes are pinned: a change to how verdicts are drawn or
+// recorded must not move a single byte of a recorded trace.
 func TestChaosRecordReplayByteIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs several full studies")
@@ -66,9 +75,10 @@ func TestChaosRecordReplayByteIdentity(t *testing.T) {
 	cases := []struct {
 		scenario string
 		seeds    []int64
+		sha3     string // sha256 of the seed-3 trace at Workers=1
 	}{
-		{"hostile", []int64{3, 11}},
-		{"cascade", []int64{3, 11}},
+		{"hostile", []int64{3, 11}, "54d2a408de61e6fb152a1b258c0d9326a40d6fcc0adab0ba3726abba54c295d0"},
+		{"cascade", []int64{3, 11}, "65b77dd91fa4dba61cf83e9c84a1b60a426408f74a9b4aa8e87c378f321317c0"},
 	}
 	for _, tc := range cases {
 		sc, err := chaos.Load(tc.scenario)
@@ -86,6 +96,9 @@ func TestChaosRecordReplayByteIdentity(t *testing.T) {
 				// Trace canonicality across worker counts (one seed per
 				// scenario keeps the matrix affordable).
 				if seed == 3 {
+					if got := traceSHA(t, tr); got != tc.sha3 {
+						t.Errorf("%s seed-3 trace sha256 = %s, want %s", tc.scenario, got, tc.sha3)
+					}
 					want := traceBytes(t, tr)
 					for _, workers := range workerCounts[1:] {
 						_, _, tr2 := recordRun(t, replayConfig(seed, workers, sc))

@@ -563,7 +563,10 @@ func (s *Study) Capture() (*capture.Truth, *capture.Analysis) {
 
 // buildCapture generates the border trace into memory and analyzes it.
 func (s *Study) buildCapture() (captureResult, error) {
-	w := s.World() // before the span, so the simulated clock is wired
+	w, err := s.WorldContext(context.Background()) // before the span, so the simulated clock is wired
+	if err != nil {
+		return captureResult{}, err
+	}
 	defer s.tel.StartSpan("study/capture").End()
 	var buf bytes.Buffer
 	truth, err := s.WriteCapture(&buf)
@@ -588,7 +591,11 @@ func (s *Study) captureConfig() capture.Config {
 
 // WriteCapture writes the synthetic border capture in pcap format.
 func (s *Study) WriteCapture(w io.Writer) (*capture.Truth, error) {
-	g := capture.NewGenerator(s.captureConfig(), s.World())
+	world, err := s.WorldContext(context.Background())
+	if err != nil {
+		return nil, err
+	}
+	g := capture.NewGenerator(s.captureConfig(), world)
 	return g.Generate(pcapio.NewWriter(w, capture.Snaplen))
 }
 

@@ -55,19 +55,18 @@ func (e *Engine) capFlowPhase(flow int) float64 {
 // the given global index. In replay mode the verdict is looked up from
 // the recorded trace instead of drawn.
 func (e *Engine) CaptureFlow(flow int) CaptureFlowVerdict {
+	if e == nil || (e.rp == nil && !e.hasCapFlow) {
+		return CaptureFlowVerdict{}
+	}
+	ev, _ := e.decide(trace.PointCapFlow, trace.CapFlowID(uint64(flow)), func() (trace.Event, bool) {
+		return e.captureFlowLive(flow)
+	})
+	return CaptureFlowVerdict{KeepFrac: ev.KeepFrac, RSTFrac: ev.RSTFrac, Reorder: ev.Reorder}
+}
+
+// captureFlowLive draws the per-flow capture verdict as a trace event.
+func (e *Engine) captureFlowLive(flow int) (trace.Event, bool) {
 	var v CaptureFlowVerdict
-	if e == nil {
-		return v
-	}
-	if e.rp != nil {
-		if ev, ok := e.rp.Get(trace.PointCapFlow, trace.CapFlowID(uint64(flow))); ok {
-			v = CaptureFlowVerdict{KeepFrac: ev.KeepFrac, RSTFrac: ev.RSTFrac, Reorder: ev.Reorder}
-		}
-		return v
-	}
-	if !e.hasCapFlow {
-		return v
-	}
 	phase := e.capFlowPhase(flow)
 	var kind Kind
 	var cause string
@@ -121,33 +120,33 @@ func (e *Engine) CaptureFlow(flow int) CaptureFlowVerdict {
 			cause = cz
 		}
 	}
-	if v.Faulted() && e.rec != nil {
-		e.rec.Record(trace.Event{
-			Point: trace.PointCapFlow, ID: trace.CapFlowID(uint64(flow)),
-			Kind: string(kind), Phase: phase, Name: fmt.Sprintf("flow-%d", flow),
-			KeepFrac: v.KeepFrac, RSTFrac: v.RSTFrac, Reorder: v.Reorder, Cause: cause,
-		})
+	if !v.Faulted() {
+		return trace.Event{}, false
 	}
-	return v
+	ev := trace.Event{Kind: string(kind), Phase: phase, KeepFrac: v.KeepFrac, RSTFrac: v.RSTFrac, Reorder: v.Reorder, Cause: cause}
+	if e.rec != nil { // the label is for trace readers; skip the Sprintf when nothing records
+		ev.Name = fmt.Sprintf("flow-%d", flow)
+	}
+	return ev, true
 }
 
 // CapturePacket returns the per-packet capture verdict for packet pkt
 // of the flow with the given global index. A dropped record is never
 // also corrupted.
 func (e *Engine) CapturePacket(flow, pkt int) CapturePacketVerdict {
+	if e == nil || (e.rp == nil && !e.hasCapPkt) {
+		return CapturePacketVerdict{}
+	}
+	ev, _ := e.decide(trace.PointCapPacket, trace.CapPacketID(uint64(flow), uint64(pkt)), func() (trace.Event, bool) {
+		return e.capturePacketLive(flow, pkt)
+	})
+	return CapturePacketVerdict{Drop: ev.Drop, Corrupt: ev.Corrupt}
+}
+
+// capturePacketLive draws the per-packet capture verdict as a trace
+// event.
+func (e *Engine) capturePacketLive(flow, pkt int) (trace.Event, bool) {
 	var v CapturePacketVerdict
-	if e == nil {
-		return v
-	}
-	if e.rp != nil {
-		if ev, ok := e.rp.Get(trace.PointCapPacket, trace.CapPacketID(uint64(flow), uint64(pkt))); ok {
-			v = CapturePacketVerdict{Drop: ev.Drop, Corrupt: ev.Corrupt}
-		}
-		return v
-	}
-	if !e.hasCapPkt {
-		return v
-	}
 	phase := e.capFlowPhase(flow)
 	var kind Kind
 	var cause string
@@ -178,12 +177,12 @@ func (e *Engine) CapturePacket(flow, pkt int) CapturePacketVerdict {
 		v.Corrupt = sub
 		kind, cause = CapCorrupt, cz
 	}
-	if (v.Drop || v.Corrupt > 0) && e.rec != nil {
-		e.rec.Record(trace.Event{
-			Point: trace.PointCapPacket, ID: trace.CapPacketID(uint64(flow), uint64(pkt)),
-			Kind: string(kind), Phase: phase, Name: fmt.Sprintf("flow-%d/pkt-%d", flow, pkt),
-			Drop: v.Drop, Corrupt: v.Corrupt, Cause: cause,
-		})
+	if !v.Drop && v.Corrupt <= 0 {
+		return trace.Event{}, false
 	}
-	return v
+	ev := trace.Event{Kind: string(kind), Phase: phase, Drop: v.Drop, Corrupt: v.Corrupt, Cause: cause}
+	if e.rec != nil { // as in captureFlowLive
+		ev.Name = fmt.Sprintf("flow-%d/pkt-%d", flow, pkt)
+	}
+	return ev, true
 }

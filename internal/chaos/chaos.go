@@ -29,8 +29,10 @@
 //
 // Every verdict the engine emits can be captured by a trace.Recorder
 // (SetRecorder) and later re-injected verbatim by a replay engine
-// (NewReplay) that bypasses the hash draws entirely — the
-// record/replay/bisect loop lives in internal/chaos/trace.
+// (NewReplay) that bypasses the hash draws entirely. Every decision
+// point goes through one function, decide, that either looks the
+// verdict up or draws and records it — the record/replay/bisect loop
+// itself lives in internal/chaos/trace.
 package chaos
 
 import (
@@ -324,23 +326,14 @@ func New(sc *Scenario, seed int64) *Engine {
 // NewReplay builds an engine that re-injects a recorded fault trace
 // verbatim: every decision point looks its verdict up by stable
 // identity, decisions absent from the trace are no-faults, and no hash
-// draw is ever consulted. The trace header's scenario spec is parsed
-// back (best-effort) so Scenario() still names the fault plan. A nil
+// draw is ever consulted, so the engine carries no scenario. A nil
 // trace yields a nil engine.
 func NewReplay(tr *trace.Trace) *Engine {
 	if tr == nil {
 		return nil
 	}
-	e := &Engine{rp: trace.NewLookup(tr)}
-	if sc, err := Parse(tr.Header.Spec); err == nil {
-		sc.Name = tr.Header.Scenario
-		e.sc = sc
-	}
-	return e
+	return &Engine{rp: trace.NewLookup(tr)}
 }
-
-// Replaying reports whether the engine re-injects a recorded trace.
-func (e *Engine) Replaying() bool { return e != nil && e.rp != nil }
 
 // SetRecorder arms fault-trace recording: every faulting verdict the
 // engine emits is logged to r (see internal/chaos/trace). Arm before
@@ -352,14 +345,20 @@ func (e *Engine) SetRecorder(r *trace.Recorder) {
 	}
 }
 
-// Scenario returns the engine's fault plan (nil for a nil engine, and
-// possibly nil for a replay engine whose trace header did not carry a
-// parseable spec).
-func (e *Engine) Scenario() *Scenario {
-	if e == nil {
-		return nil
+// decide is the one record/replay path every decision point takes. A
+// replay engine returns the verdict recorded under (pt, id), if any,
+// and never draws; a live engine draws the verdict and, when it
+// faults, records it under (pt, id). The bool reports a fault.
+func (e *Engine) decide(pt trace.Point, id uint64, draw func() (trace.Event, bool)) (trace.Event, bool) {
+	if e.rp != nil {
+		return e.rp.Get(pt, id)
 	}
-	return e.sc
+	ev, faulted := draw()
+	if faulted {
+		ev.Point, ev.ID = pt, id
+		e.rec.Record(ev)
+	}
+	return ev, faulted
 }
 
 // salts keep the independent draw families uncorrelated.
@@ -500,23 +499,11 @@ func (e *Engine) Intercept(src, dst netaddr.IP, flow uint64, payload []byte) sim
 	if e == nil {
 		return simnet.Verdict{}
 	}
-	if e.rp != nil {
-		ev, ok := e.rp.Get(trace.PointWire, trace.WireID(uint64(src), uint64(dst), flow, payload))
-		if !ok {
-			return simnet.Verdict{}
-		}
-		return replayVerdict(ev, payload)
-	}
-	v, kind, rcode, cause, phase := e.interceptLive(src, dst, flow, payload)
-	if e.rec != nil && (v.Drop || v.Respond != nil || v.ExtraRTT != 0) {
-		ev := trace.Event{
-			Point: trace.PointWire,
-			ID:    trace.WireID(uint64(src), uint64(dst), flow, payload),
-			Kind:  string(kind),
-			Phase: phase,
-			Drop:  v.Drop,
-			Cause: cause,
-		}
+	var live simnet.Verdict
+	ev, faulted := e.decide(trace.PointWire, trace.WireID(uint64(src), uint64(dst), flow, payload), func() (trace.Event, bool) {
+		v, kind, rcode, cause, phase := e.interceptLive(src, dst, flow, payload)
+		live = v
+		ev := trace.Event{Kind: string(kind), Phase: phase, Drop: v.Drop, Cause: cause}
 		if !v.Drop {
 			ev.ExtraNs = int64(v.ExtraRTT)
 		}
@@ -524,9 +511,14 @@ func (e *Engine) Intercept(src, dst netaddr.IP, flow uint64, payload []byte) sim
 			ev.Forged = true
 			ev.RCode = int(rcode)
 		}
-		e.rec.Record(ev)
+		return ev, v.Drop || v.Respond != nil || v.ExtraRTT != 0
+	})
+	// A live verdict already carries its forged response; a replayed one
+	// re-forges it against the query in flight.
+	if e.rp == nil || !faulted {
+		return live
 	}
-	return v
+	return replayVerdict(ev, payload)
 }
 
 // replayVerdict reconstructs a recorded wire verdict against the
@@ -668,18 +660,7 @@ func (e *Engine) VantageOut(vantage string, phase float64) bool {
 	if e == nil {
 		return false
 	}
-	if e.rp != nil {
-		ev, ok := e.rp.Get(trace.PointVantage, trace.VantageID(vantage, phase))
-		return ok && ev.Out
-	}
-	out, cause := e.outAt(VantageDown, vantage, phase)
-	if out {
-		e.rec.Record(trace.Event{
-			Point: trace.PointVantage, ID: trace.VantageID(vantage, phase),
-			Kind: string(VantageDown), Phase: phase, Name: vantage, Out: true, Cause: cause,
-		})
-	}
-	return out
+	return e.unitOut(trace.PointVantage, trace.VantageID(vantage, phase), VantageDown, vantage, phase)
 }
 
 // AccountOut reports whether a cloud measurement account is unusable at
@@ -688,18 +669,17 @@ func (e *Engine) AccountOut(account string, phase float64) bool {
 	if e == nil {
 		return false
 	}
-	if e.rp != nil {
-		ev, ok := e.rp.Get(trace.PointAccount, trace.AccountID(account, phase))
-		return ok && ev.Out
-	}
-	out, cause := e.outAt(AccountDown, account, phase)
-	if out {
-		e.rec.Record(trace.Event{
-			Point: trace.PointAccount, ID: trace.AccountID(account, phase),
-			Kind: string(AccountDown), Phase: phase, Name: account, Out: true, Cause: cause,
-		})
-	}
-	return out
+	return e.unitOut(trace.PointAccount, trace.AccountID(account, phase), AccountDown, account, phase)
+}
+
+// unitOut is the body VantageOut and AccountOut share: whether the
+// named unit is dark at phase under faults of kind, decided at (pt, id).
+func (e *Engine) unitOut(pt trace.Point, id uint64, kind Kind, name string, phase float64) bool {
+	ev, _ := e.decide(pt, id, func() (trace.Event, bool) {
+		out, cause := e.outAt(kind, name, phase)
+		return trace.Event{Kind: string(kind), Phase: phase, Name: name, Out: out, Cause: cause}, out
+	})
+	return ev.Out
 }
 
 // RegionExtraMs returns the extra round-trip milliseconds region-scoped
@@ -708,30 +688,20 @@ func (e *Engine) RegionExtraMs(region string, phase float64) float64 {
 	if e == nil {
 		return 0
 	}
-	if e.rp != nil {
-		ev, ok := e.rp.Get(trace.PointRegion, trace.RegionID(region, phase))
-		if !ok {
-			return 0
+	ev, _ := e.decide(trace.PointRegion, trace.RegionID(region, phase), func() (trace.Event, bool) {
+		var ms float64
+		for i := range e.sc.Faults {
+			f := &e.sc.Faults[i]
+			if f.Kind != Brownout || f.Region == "" || !f.active(phase) {
+				continue
+			}
+			if strings.Contains(region, f.Region) {
+				ms += float64(f.ExtraRTT) / float64(time.Millisecond)
+			}
 		}
-		return ev.ExtraMs
-	}
-	var ms float64
-	for i := range e.sc.Faults {
-		f := &e.sc.Faults[i]
-		if f.Kind != Brownout || f.Region == "" || !f.active(phase) {
-			continue
-		}
-		if strings.Contains(region, f.Region) {
-			ms += float64(f.ExtraRTT) / float64(time.Millisecond)
-		}
-	}
-	if ms != 0 {
-		e.rec.Record(trace.Event{
-			Point: trace.PointRegion, ID: trace.RegionID(region, phase),
-			Kind: string(Brownout), Phase: phase, Name: region, ExtraMs: ms,
-		})
-	}
-	return ms
+		return trace.Event{Kind: string(Brownout), Phase: phase, Name: region, ExtraMs: ms}, ms != 0
+	})
+	return ev.ExtraMs
 }
 
 // ProbeLost reports whether a model-level probe in region, identified
@@ -741,18 +711,14 @@ func (e *Engine) ProbeLost(region, key string, phase float64) bool {
 	if e == nil {
 		return false
 	}
-	if e.rp != nil {
-		ev, ok := e.rp.Get(trace.PointProbe, trace.ProbeID(region, key, phase))
-		return ok && ev.Drop
-	}
-	lost, kind, cause := e.probeLostLive(region, key, phase)
-	if lost {
-		e.rec.Record(trace.Event{
-			Point: trace.PointProbe, ID: trace.ProbeID(region, key, phase),
-			Kind: string(kind), Phase: phase, Name: region + "/" + key, Drop: true, Cause: cause,
-		})
-	}
-	return lost
+	ev, _ := e.decide(trace.PointProbe, trace.ProbeID(region, key, phase), func() (trace.Event, bool) {
+		lost, kind, cause := e.probeLostLive(region, key, phase)
+		if !lost {
+			return trace.Event{}, false
+		}
+		return trace.Event{Kind: string(kind), Phase: phase, Name: region + "/" + key, Drop: true, Cause: cause}, true
+	})
+	return ev.Drop
 }
 
 // probeLostLive draws the model-level loss verdict.

@@ -216,11 +216,8 @@ func TestRecordReplayUnits(t *testing.T) {
 		t.Fatal("cascade run recorded no fault verdicts")
 	}
 	rp := NewReplay(snap)
-	if !rp.Replaying() {
-		t.Fatal("replay engine not in replay mode")
-	}
-	if rp.Scenario() == nil || rp.Scenario().Name != sc.Name {
-		t.Fatalf("replay Scenario() = %+v", rp.Scenario())
+	if rp.rp == nil || rp.sc != nil {
+		t.Fatal("replay engine not in replay mode, or carries a scenario to draw from")
 	}
 	rv, rvo, rao, rpl, rex := query(rp)
 	if !reflect.DeepEqual(lv, rv) {

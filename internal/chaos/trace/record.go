@@ -81,8 +81,7 @@ func (r *Recorder) Snapshot() *Trace {
 // Lookup answers replay-mode verdict queries in O(1). A nil *Lookup
 // returns no faults.
 type Lookup struct {
-	hdr Header
-	m   map[key]Event
+	m map[key]Event
 }
 
 // NewLookup indexes a trace for replay. A nil trace yields a nil
@@ -92,7 +91,7 @@ func NewLookup(t *Trace) *Lookup {
 	if t == nil {
 		return nil
 	}
-	l := &Lookup{hdr: t.Header, m: make(map[key]Event, len(t.Events))}
+	l := &Lookup{m: make(map[key]Event, len(t.Events))}
 	for _, ev := range t.Events {
 		k := key{ev.Point, ev.ID}
 		if _, dup := l.m[k]; !dup {
@@ -100,14 +99,6 @@ func NewLookup(t *Trace) *Lookup {
 		}
 	}
 	return l
-}
-
-// Header returns the indexed trace's metadata.
-func (l *Lookup) Header() Header {
-	if l == nil {
-		return Header{}
-	}
-	return l.hdr
 }
 
 // Get returns the recorded verdict for a decision, if any.

@@ -15,6 +15,18 @@ import (
 // not collapse, when the network drops packets — resolvers retry across
 // a delegation's name servers.
 
+// lossEngine returns a chaos engine that drops wire datagrams as spec
+// declares. Installed only as the fabric's interceptor, it faults the
+// network without hardening the crawl (Config.Chaos stays nil).
+func lossEngine(t *testing.T, spec string, seed int64) *chaos.Engine {
+	t.Helper()
+	sc, err := chaos.Parse(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return chaos.New(sc, seed)
+}
+
 func TestDiscoveryUnderPacketLoss(t *testing.T) {
 	w := must(deploy.Generate(deploy.Config{Seed: 1, NumDomains: 400}))
 	names := make([]string, 0, len(w.Domains))
@@ -28,8 +40,8 @@ func TestDiscoveryUnderPacketLoss(t *testing.T) {
 
 	// 15% loss: most domains have 3+ NS, so per-lookup failure
 	// probability is ~0.3%. Discovery should lose almost nothing.
-	w.Fabric.SetLoss(0.15, 7)
-	defer w.Fabric.SetLoss(0, 0)
+	w.Fabric.SetInterceptor(lossEngine(t, "loss,p=0.15", 7))
+	defer w.Fabric.SetInterceptor(nil)
 	lossy := must(Build(Config{
 		Fabric: w.Fabric, Registry: w.Registry, Ranges: w.Ranges,
 		Domains: names, Vantages: 10,
@@ -39,6 +51,7 @@ func TestDiscoveryUnderPacketLoss(t *testing.T) {
 		t.Fatal("discovery collapsed under loss")
 	}
 	ratio := float64(lossy.Stats.CloudSubdomains) / float64(baseline.Stats.CloudSubdomains)
+	t.Logf("discovery under 15%% loss: %.3f of baseline", ratio)
 	if ratio < 0.85 {
 		t.Fatalf("loss degraded discovery to %.2f of baseline", ratio)
 	}
@@ -56,8 +69,8 @@ func TestDiscoveryUnderHeavyLossIsLowerBound(t *testing.T) {
 	for _, d := range w.Domains {
 		names = append(names, d.Name)
 	}
-	w.Fabric.SetLoss(0.5, 11)
-	defer w.Fabric.SetLoss(0, 0)
+	w.Fabric.SetInterceptor(lossEngine(t, "loss,p=0.5", 11))
+	defer w.Fabric.SetInterceptor(nil)
 	ds := must(Build(Config{
 		Fabric: w.Fabric, Registry: w.Registry, Ranges: w.Ranges,
 		Domains: names, Vantages: 5,
@@ -103,13 +116,9 @@ func buildFaulted(w *deploy.World, workers int, eng *chaos.Engine, comp *telemet
 // TestBuildUnderLossWorkerInvariant runs the hardened crawl — retries,
 // breaker and budget — against wire loss drawn by a chaos engine.
 func TestBuildUnderLossWorkerInvariant(t *testing.T) {
-	sc, err := chaos.Parse("loss,p=0.15")
-	if err != nil {
-		t.Fatal(err)
-	}
 	run := func(workers int) (string, string) {
 		w := freshWorld()
-		eng := chaos.New(sc, 7)
+		eng := lossEngine(t, "loss,p=0.15", 7)
 		w.Fabric.SetInterceptor(eng)
 		comp := telemetry.NewCompleteness()
 		ds := buildFaulted(w, workers, eng, comp)

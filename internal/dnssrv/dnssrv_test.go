@@ -427,6 +427,13 @@ func TestNXDomainDoesNotFailOver(t *testing.T) {
 	}
 }
 
+// dropAll is a test Interceptor that drops every datagram.
+type dropAll struct{}
+
+func (dropAll) Intercept(_, _ netaddr.IP, _ uint64, _ []byte) simnet.Verdict {
+	return simnet.Verdict{Drop: true}
+}
+
 // TestBackoffRetriesAndBudget: with loss on the path, a hardened
 // resolver retries with sim-time backoff; a budget bounds the effort
 // and the unit counts record what was abandoned.
@@ -435,7 +442,7 @@ func TestBackoffRetriesAndBudget(t *testing.T) {
 	m := NewResolverMetrics(telemetry.NewRegistry())
 	rv.Metrics = m
 	rv.Backoff = Backoff{MaxAttempts: 4, Base: 100 * time.Millisecond, Max: time.Second}
-	fabric.SetLoss(1.0, 9) // nothing gets through
+	fabric.SetInterceptor(dropAll{}) // nothing gets through
 
 	var unit telemetry.Counts
 	budget := &Budget{MaxQueries: 100}
@@ -469,7 +476,7 @@ func TestBackoffRetriesAndBudget(t *testing.T) {
 	}
 
 	// Lifting the loss: the clone answers and counts a success.
-	fabric.SetLoss(0, 0)
+	fabric.SetInterceptor(nil)
 	budget.MaxQueries = 100
 	if _, err := urv.Query("www.example.com", dnswire.TypeA); err != nil {
 		t.Fatalf("recovered query: %v", err)

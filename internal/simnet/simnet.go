@@ -1,7 +1,7 @@
 // Package simnet provides the simulated network fabric the measurement
 // study runs over: a virtual clock and an in-memory datagram network
 // that binds IPv4 addresses to request handlers, with a pluggable
-// latency model and failure injection.
+// latency model and one fault-injection hook, the Interceptor.
 //
 // The fabric is deliberately simple — request/response datagrams, no
 // routing tables — because the study's probes (DNS queries, TCP pings)
@@ -18,7 +18,6 @@ import (
 
 	"cloudscope/internal/netaddr"
 	"cloudscope/internal/telemetry"
-	"cloudscope/internal/xrand"
 )
 
 // Clock is a virtual clock. The zero value starts at a fixed epoch; use
@@ -90,10 +89,10 @@ type Verdict struct {
 	Respond []byte
 }
 
-// Interceptor inspects datagrams in flight and injects faults. flow is
-// the caller-supplied flow identity from QueryFlow (0 for plain Query
-// and Ping); payload is nil for pings. Implementations must be pure
-// functions of their arguments — any internal state would make fault
+// Interceptor inspects datagrams in flight and injects faults; it is
+// the fabric's only fault path. flow is the caller-supplied flow
+// identity from QueryFlow (0 for plain Query). Implementations must be
+// pure functions of their arguments — any internal state would make fault
 // patterns depend on goroutine scheduling and break worker-count
 // invariance.
 type Interceptor interface {
@@ -104,8 +103,8 @@ type Interceptor interface {
 var (
 	ErrHostUnreachable = errors.New("simnet: no host at destination")
 	ErrTimeout         = errors.New("simnet: request timed out")
-	// ErrInjectedLoss reports a datagram dropped by SetLoss failure
-	// injection. It wraps ErrTimeout — to a caller an injected drop looks
+	// ErrInjectedLoss reports a datagram an Interceptor dropped. It
+	// wraps ErrTimeout — to a caller an injected drop looks
 	// like any other timeout — but errors.Is(err, ErrInjectedLoss) lets
 	// tests and metrics split injected drops from handler-refused
 	// requests.
@@ -116,11 +115,11 @@ var (
 // are optional; a nil *FabricMetrics (or nil fields) disables
 // accounting with no other behavior change.
 type FabricMetrics struct {
-	// Sent counts every datagram handed to Query or Ping.
+	// Sent counts every datagram handed to Query or QueryFlow.
 	Sent *telemetry.Counter
 	// Delivered counts datagrams answered by a handler.
 	Delivered *telemetry.Counter
-	// Dropped counts datagrams lost to failure injection (SetLoss).
+	// Dropped counts datagrams an Interceptor dropped.
 	Dropped *telemetry.Counter
 	// Failed counts unreachable destinations and handler-refused
 	// (nil-response) requests.
@@ -147,8 +146,6 @@ type Fabric struct {
 	mu          sync.RWMutex
 	hosts       map[netaddr.IP]Handler
 	latency     LatencyFunc
-	lossProb    float64
-	lossSeed    int64
 	interceptor Interceptor
 	clock       *Clock
 	metrics     *FabricMetrics
@@ -207,33 +204,12 @@ func (f *Fabric) SetMetrics(m *FabricMetrics) {
 	f.metrics = m
 }
 
-// SetLoss makes each datagram independently fail with probability p,
-// returning ErrInjectedLoss. Used for failure-injection tests. The
-// verdict is a pure hash of (seed, src, dst, flow, payload) — no shared
-// generator state, so the loss pattern is a property of the traffic
-// itself, identical at every worker count and free of the hot-path
-// write lock a shared stream would need. Identical datagrams on the
-// same flow share one fate; callers wanting independent retry draws
-// vary the flow (see QueryFlow).
-func (f *Fabric) SetLoss(p float64, seed int64) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.lossProb = p
-	f.lossSeed = seed
-}
-
 // SetInterceptor installs a fault-injection hook consulted on every
-// datagram and ping; nil removes it.
+// datagram; nil removes it.
 func (f *Fabric) SetInterceptor(ic Interceptor) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.interceptor = ic
-}
-
-// lossDraw returns the uniform [0,1) fate of one datagram.
-func lossDraw(seed int64, src, dst netaddr.IP, flow uint64, payload []byte) float64 {
-	h := xrand.Hash64(uint64(seed), uint64(src), uint64(dst), flow)
-	return xrand.Frac(xrand.HashBytes(h, payload))
 }
 
 // Query sends payload from src to dst and returns the response and the
@@ -245,16 +221,14 @@ func (f *Fabric) Query(src, dst netaddr.IP, payload []byte) (resp []byte, rtt ti
 }
 
 // QueryFlow is Query with an explicit flow identity. The flow value
-// feeds the loss draw and the interceptor but never the handler: two
-// identical payloads sent on different flows (e.g. a retry after a
-// timeout) draw independent loss fates, while replays on the same flow
-// share one. Callers derive flows from stable measurement identities —
+// feeds the interceptor but never the handler: two identical payloads
+// sent on different flows (e.g. a retry after a timeout) can meet
+// independent fault verdicts, while replays on the same flow share one. Callers derive flows from stable measurement identities —
 // never from arrival order.
 func (f *Fabric) QueryFlow(src, dst netaddr.IP, flow uint64, payload []byte) (resp []byte, rtt time.Duration, err error) {
 	f.mu.RLock()
 	h, ok := f.hosts[dst]
 	lat := f.latency
-	lossProb, lossSeed := f.lossProb, f.lossSeed
 	ic := f.interceptor
 	m := f.metrics
 	f.mu.RUnlock()
@@ -266,12 +240,6 @@ func (f *Fabric) QueryFlow(src, dst netaddr.IP, flow uint64, payload []byte) (re
 			m.Failed.Inc()
 		}
 		return nil, 0, ErrHostUnreachable
-	}
-	if lossProb > 0 && lossDraw(lossSeed, src, dst, flow, payload) < lossProb {
-		if m != nil {
-			m.Dropped.Inc()
-		}
-		return nil, 0, ErrInjectedLoss
 	}
 	var forged []byte
 	var extra time.Duration
@@ -304,31 +272,4 @@ func (f *Fabric) QueryFlow(src, dst netaddr.IP, flow uint64, payload []byte) (re
 		m.RTTms.Observe(float64(rtt) / float64(time.Millisecond))
 	}
 	return resp, rtt, nil
-}
-
-// Ping measures the round trip to dst without delivering a payload to
-// the handler; it fails if no host is registered (mirroring a TCP RST
-// vs. silence distinction is not modelled).
-func (f *Fabric) Ping(src, dst netaddr.IP) (time.Duration, error) {
-	f.mu.RLock()
-	_, ok := f.hosts[dst]
-	lat := f.latency
-	m := f.metrics
-	f.mu.RUnlock()
-	if m != nil {
-		m.Sent.Inc()
-	}
-	if !ok {
-		if m != nil {
-			m.Failed.Inc()
-		}
-		return 0, ErrHostUnreachable
-	}
-	rtt := lat(src, dst) + lat(dst, src)
-	f.clock.Advance(rtt)
-	if m != nil {
-		m.Delivered.Inc()
-		m.RTTms.Observe(float64(rtt) / float64(time.Millisecond))
-	}
-	return rtt, nil
 }

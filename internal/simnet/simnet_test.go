@@ -109,75 +109,6 @@ func TestAsymmetricLatency(t *testing.T) {
 	}
 }
 
-func TestPing(t *testing.T) {
-	f := NewFabric(nil)
-	f.Register(3, HandlerFunc(func(_, _ netaddr.IP, p []byte) []byte { return p }))
-	rtt, err := f.Ping(1, 3)
-	if err != nil || rtt != time.Millisecond {
-		t.Fatalf("rtt=%v err=%v", rtt, err)
-	}
-	if _, err := f.Ping(1, 99); err != ErrHostUnreachable {
-		t.Fatalf("unreachable ping err = %v", err)
-	}
-}
-
-func TestLossInjection(t *testing.T) {
-	// Loss fate is a hash of the datagram's identity, so distinct flows
-	// draw independently while replays share a fate.
-	f := NewFabric(nil)
-	f.Register(4, HandlerFunc(func(_, _ netaddr.IP, p []byte) []byte { return p }))
-	f.SetLoss(0.5, 99)
-	drops := 0
-	for i := 0; i < 1000; i++ {
-		if _, _, err := f.QueryFlow(1, 4, uint64(i), []byte("x")); err != nil {
-			// Injected drops are typed — and still read as timeouts.
-			if !errors.Is(err, ErrInjectedLoss) || !errors.Is(err, ErrTimeout) {
-				t.Fatalf("loss error = %v", err)
-			}
-			drops++
-		}
-	}
-	if drops < 400 || drops > 600 {
-		t.Fatalf("drops = %d/1000 with p=0.5", drops)
-	}
-	// Determinism: same seed, same drop pattern — even sent in reverse.
-	g := NewFabric(nil)
-	g.Register(4, HandlerFunc(func(_, _ netaddr.IP, p []byte) []byte { return p }))
-	g.SetLoss(0.5, 99)
-	gd := 0
-	for i := 999; i >= 0; i-- {
-		if _, _, err := g.QueryFlow(1, 4, uint64(i), []byte("x")); errors.Is(err, ErrInjectedLoss) {
-			gd++
-		}
-	}
-	if gd != drops {
-		t.Fatalf("loss not order-invariant: %d vs %d", gd, drops)
-	}
-}
-
-func TestLossFateIsPerDatagram(t *testing.T) {
-	f := NewFabric(nil)
-	f.Register(4, HandlerFunc(func(_, _ netaddr.IP, p []byte) []byte { return p }))
-	f.SetLoss(0.5, 1)
-	// Identical datagram on the same flow: one fate, every time.
-	_, _, first := f.QueryFlow(1, 4, 42, []byte("probe"))
-	for i := 0; i < 20; i++ {
-		if _, _, err := f.QueryFlow(1, 4, 42, []byte("probe")); errors.Is(err, ErrInjectedLoss) != errors.Is(first, ErrInjectedLoss) {
-			t.Fatal("replay on the same flow changed fate")
-		}
-	}
-	// Varying the flow redraws.
-	varied := 0
-	for i := 0; i < 100; i++ {
-		if _, _, err := f.QueryFlow(1, 4, uint64(i), []byte("probe")); errors.Is(err, ErrInjectedLoss) != errors.Is(first, ErrInjectedLoss) {
-			varied++
-		}
-	}
-	if varied == 0 {
-		t.Fatal("flow identity does not affect the loss draw")
-	}
-}
-
 func TestLossErrorDistinguishableFromRefusal(t *testing.T) {
 	f := NewFabric(nil)
 	f.Register(5, HandlerFunc(func(_, _ netaddr.IP, _ []byte) []byte { return nil }))
@@ -194,13 +125,18 @@ func TestFabricMetricsSplit(t *testing.T) {
 	f.Register(4, HandlerFunc(func(_, _ netaddr.IP, p []byte) []byte { return p }))
 	f.Register(5, HandlerFunc(func(_, _ netaddr.IP, _ []byte) []byte { return nil }))
 
-	f.Query(1, 4, []byte("ok"))   // delivered
-	f.Query(1, 5, []byte("nil"))  // failed: handler refused
-	f.Query(1, 99, []byte("un"))  // failed: unreachable
-	f.SetLoss(1.0, 7)             // every subsequent query drops
-	f.Query(1, 4, []byte("drop")) // dropped: injected
-	f.SetLoss(0, 0)
-	f.Ping(1, 4) // delivered
+	f.Query(1, 4, []byte("ok"))  // delivered
+	f.Query(1, 5, []byte("nil")) // failed: handler refused
+	f.Query(1, 99, []byte("un")) // failed: unreachable
+	f.SetInterceptor(verdictFunc(func(_, _ netaddr.IP, _ uint64, _ []byte) Verdict {
+		return Verdict{Drop: true}
+	}))
+	// dropped: injected. The drop is typed, and still reads as a timeout.
+	if _, _, err := f.Query(1, 4, []byte("drop")); !errors.Is(err, ErrInjectedLoss) || !errors.Is(err, ErrTimeout) {
+		t.Fatalf("injected drop err = %v, want ErrInjectedLoss wrapping ErrTimeout", err)
+	}
+	f.SetInterceptor(nil)
+	f.Query(1, 4, []byte("ok")) // delivered
 
 	snap := reg.Snapshot()
 	for name, want := range map[string]int64{

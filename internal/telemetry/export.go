@@ -1,11 +1,9 @@
 package telemetry
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 )
 
@@ -122,75 +120,18 @@ func (s *Snapshot) Table() string {
 }
 
 // jsonDump is the machine-consumption shape: flat name→value maps in
-// the spirit of expvar, with histograms expanded. The map types
-// marshal with explicitly sorted keys, so the dump is byte-identical
-// for identical telemetry state — a property the golden test and the
-// bench harness rely on, made structural here rather than inherited
-// from encoding/json's map behavior.
+// the spirit of expvar, with histograms expanded. encoding/json writes
+// map keys in sorted order, so the dump is byte-identical for identical
+// telemetry state — a property the golden test and the bench harness
+// rely on.
 type jsonDump struct {
-	Counters   int64ByName `json:"counters"`
-	Gauges     int64ByName `json:"gauges"`
-	Histograms histsByName `json:"histograms"`
-	Spans      []jsonSpan  `json:"spans,omitempty"`
+	Counters   map[string]int64         `json:"counters"`
+	Gauges     map[string]int64         `json:"gauges"`
+	Histograms map[string]jsonHistogram `json:"histograms"`
+	Spans      []jsonSpan               `json:"spans,omitempty"`
 	// Completeness reports per-stage attempted/succeeded/retried/
 	// abandoned measurement accounting; present only when recorded.
 	Completeness []StageCompleteness `json:"completeness,omitempty"`
-}
-
-// int64ByName marshals as a JSON object with keys in sorted order.
-type int64ByName map[string]int64
-
-func (m int64ByName) MarshalJSON() ([]byte, error) {
-	return marshalSorted(sortedKeys(m), func(k string) any { return m[k] })
-}
-
-// histsByName marshals histograms with keys in sorted order.
-type histsByName map[string]jsonHistogram
-
-func (m histsByName) MarshalJSON() ([]byte, error) {
-	return marshalSorted(sortedKeys(m), func(k string) any { return m[k] })
-}
-
-// float64ByName marshals span stats with keys in sorted order.
-type float64ByName map[string]float64
-
-func (m float64ByName) MarshalJSON() ([]byte, error) {
-	return marshalSorted(sortedKeys(m), func(k string) any { return m[k] })
-}
-
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// marshalSorted emits a JSON object with the given key order. The
-// enclosing encoder re-indents the compact bytes, so nesting renders
-// identically to plain struct fields.
-func marshalSorted(keys []string, get func(string) any) ([]byte, error) {
-	var b bytes.Buffer
-	b.WriteByte('{')
-	for i, k := range keys {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		kb, err := json.Marshal(k)
-		if err != nil {
-			return nil, err
-		}
-		b.Write(kb)
-		b.WriteByte(':')
-		vb, err := json.Marshal(get(k))
-		if err != nil {
-			return nil, err
-		}
-		b.Write(vb)
-	}
-	b.WriteByte('}')
-	return b.Bytes(), nil
 }
 
 type jsonHistogram struct {
@@ -205,13 +146,13 @@ type jsonBucket struct {
 }
 
 type jsonSpan struct {
-	Name       string        `json:"name"`
-	WallMs     float64       `json:"wall_ms"`
-	SimMs      float64       `json:"sim_ms"`
-	AllocBytes uint64        `json:"alloc_bytes,omitempty"`
-	AllocObjs  uint64        `json:"alloc_objects,omitempty"`
-	Stats      float64ByName `json:"stats,omitempty"`
-	Children   []jsonSpan    `json:"children,omitempty"`
+	Name       string             `json:"name"`
+	WallMs     float64            `json:"wall_ms"`
+	SimMs      float64            `json:"sim_ms"`
+	AllocBytes uint64             `json:"alloc_bytes,omitempty"`
+	AllocObjs  uint64             `json:"alloc_objects,omitempty"`
+	Stats      map[string]float64 `json:"stats,omitempty"`
+	Children   []jsonSpan         `json:"children,omitempty"`
 }
 
 // WriteJSON writes the snapshot as an expvar-style JSON document.
@@ -221,9 +162,9 @@ func (s *Snapshot) WriteJSON(w io.Writer) error {
 
 func writeDump(w io.Writer, s *Snapshot, tr *Tracer, comp *Completeness) error {
 	d := jsonDump{
-		Counters:   int64ByName{},
-		Gauges:     int64ByName{},
-		Histograms: histsByName{},
+		Counters:   map[string]int64{},
+		Gauges:     map[string]int64{},
+		Histograms: map[string]jsonHistogram{},
 	}
 	for _, c := range s.Counters {
 		d.Counters[c.Name] = c.Value
