@@ -94,11 +94,11 @@ func (e *Engine) captureFlowLive(flow int) (trace.Event, bool) {
 		draw := xrand.Frac(xrand.Hash64(e.fh[i], saltSelect, uint64(flow)))
 		cz := ""
 		if draw >= f.frac() {
-			boost, label := e.boostFor(f.Kind, phase)
-			if boost <= 0 || draw >= f.frac()+boost {
+			b := e.boostFor(f.Kind, phase)
+			if b.p <= 0 || draw >= f.frac()+b.p {
 				continue
 			}
-			cz = label
+			cz = b.label()
 		}
 		// The verdict's shape comes from an independent sub-draw, so
 		// the selection threshold does not skew it.
@@ -160,8 +160,8 @@ func (e *Engine) capturePacketLive(flow, pkt int) (trace.Event, bool) {
 			if draw < f.prob() {
 				return true, ""
 			}
-			if boost, label := e.boostFor(want, phase); boost > 0 && draw < f.prob()+boost {
-				return true, label
+			if b := e.boostFor(want, phase); b.p > 0 && draw < f.prob()+b.p {
+				return true, b.label()
 			}
 		}
 		return false, ""

@@ -413,20 +413,33 @@ func (e *Engine) domainMatch(i int, name string) bool {
 	return true
 }
 
-// boostFor returns the total probability boost active for target-kind
-// draws at phase, plus the causal-path label of the first contributing
-// trigger hop (the causal edge recorded with induced verdicts). A
+// boost is the total probability boost active for one target kind's
+// draws, plus the first contributing trigger hop: the causal edge
+// recorded with the verdicts it induces.
+type boost struct {
+	p   float64
+	tg  *Trigger
+	hop int
+}
+
+// label renders the first contributing hop's causal path. Callers
+// format it only once a boosted draw fires, so a draw the boost leaves
+// unfaulted costs no allocation.
+func (b boost) label() string {
+	if b.tg == nil {
+		return ""
+	}
+	return b.tg.prefix(b.hop)
+}
+
+// boostFor returns the boost active for target-kind draws at phase. A
 // trigger's hop 0 contributes while at least one cause fault of its
 // cause kind (and region scope) is window-active; hop k>0 contributes
 // only while every earlier hop's target kind also has a window-active
 // declared clause — the cascade conducts through live kinds and is
 // severed at the first dormant one.
-func (e *Engine) boostFor(target Kind, phase float64) (float64, string) {
-	if len(e.sc.Triggers) == 0 {
-		return 0, ""
-	}
-	var total float64
-	var label string
+func (e *Engine) boostFor(target Kind, phase float64) boost {
+	var b boost
 	for ti := range e.sc.Triggers {
 		tg := &e.sc.Triggers[ti]
 		if !e.causeActive(tg.CauseKind, tg.CauseRegion, phase) {
@@ -439,13 +452,13 @@ func (e *Engine) boostFor(target Kind, phase float64) (float64, string) {
 			if tg.Hops[hi].Target != target {
 				continue
 			}
-			total += tg.Hops[hi].Boost
-			if label == "" {
-				label = tg.prefix(hi)
+			b.p += tg.Hops[hi].Boost
+			if b.tg == nil {
+				b.tg, b.hop = tg, hi
 			}
 		}
 	}
-	return total, label
+	return b
 }
 
 // causeActive reports whether any declared fault clause of the cause
@@ -565,8 +578,8 @@ func (e *Engine) interceptLive(src, dst netaddr.IP, flow uint64, payload []byte)
 			if draw < f.prob() {
 				return simnet.Verdict{Drop: true}, Loss, 0, "", phase
 			}
-			if boost, cz := e.boostFor(Loss, phase); boost > 0 && draw < f.prob()+boost {
-				return simnet.Verdict{Drop: true}, Loss, 0, cz, phase
+			if b := e.boostFor(Loss, phase); b.p > 0 && draw < f.prob()+b.p {
+				return simnet.Verdict{Drop: true}, Loss, 0, b.label(), phase
 			}
 		case Brownout:
 			if f.Region != "" || !f.active(phase) || !f.scopeMatch(src, dst) {
@@ -605,11 +618,11 @@ func (e *Engine) interceptLive(src, dst netaddr.IP, flow uint64, payload []byte)
 			draw := xrand.Frac(xrand.HashBytes(xrand.Hash64(e.fh[i], saltDraw, flow), payload))
 			var cz string
 			if draw >= f.prob() {
-				boost, label := e.boostFor(f.Kind, phase)
-				if boost <= 0 || draw >= f.prob()+boost {
+				b := e.boostFor(f.Kind, phase)
+				if b.p <= 0 || draw >= f.prob()+b.p {
 					continue
 				}
-				cz = label
+				cz = b.label()
 			}
 			rc := dnswire.RCodeServFail
 			if f.Kind == Refused {
@@ -629,8 +642,7 @@ func (e *Engine) interceptLive(src, dst netaddr.IP, flow uint64, payload []byte)
 // trigger label when only a boost darkened it.
 func (e *Engine) outAt(kind Kind, name string, phase float64) (bool, string) {
 	boosted := false
-	var boost float64
-	var label string
+	var b boost
 	for i := range e.sc.Faults {
 		f := &e.sc.Faults[i]
 		if f.Kind != kind || !f.active(phase) {
@@ -645,10 +657,10 @@ func (e *Engine) outAt(kind Kind, name string, phase float64) (bool, string) {
 		}
 		if !boosted {
 			boosted = true
-			boost, label = e.boostFor(kind, phase)
+			b = e.boostFor(kind, phase)
 		}
-		if boost > 0 && draw < f.Frac+boost {
-			return true, label
+		if b.p > 0 && draw < f.Frac+b.p {
+			return true, b.label()
 		}
 	}
 	return false, ""
@@ -739,8 +751,8 @@ func (e *Engine) probeLostLive(region, key string, phase float64) (bool, Kind, s
 			if draw < f.prob() {
 				return true, Loss, ""
 			}
-			if boost, cz := e.boostFor(Loss, phase); boost > 0 && draw < f.prob()+boost {
-				return true, Loss, cz
+			if b := e.boostFor(Loss, phase); b.p > 0 && draw < f.prob()+b.p {
+				return true, Loss, b.label()
 			}
 		}
 	}
