@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build check test race bench serve-smoke experiments world chaos bisect-smoke fuzz-chaos fuzz-chaos-v3 fuzz-trace fuzz-packet fuzz-pcap fuzz-diskfmt fuzz-dnswire fuzz-xrand clean
+.PHONY: all build check test race bench serve-smoke experiments world chaos bisect-smoke fuzz-chaos fuzz-chaos-v3 fuzz-trace fuzz-packet fuzz-pcap fuzz-diskfmt fuzz-dnswire fuzz-httpwire fuzz-xrand clean
 
 all: build check test
 
@@ -14,7 +14,8 @@ build:
 # the chaos engine and the fault-trace recorder every worker writes,
 # the worker pool, and every parallelized analysis stage), plus a
 # repeated small-shard stress run that forces shard-boundary
-# interleavings in the pool. It runs each DESIGN.md §5 ablation
+# interleavings in the pool, and the capture's pinned-pcap and
+# event-sort equivalence tests. It runs each DESIGN.md §5 ablation
 # benchmark once, so a broken sweep fails here (the zone-threshold
 # sweep is the only caller that passes a non-paper T). Last, it vets
 # and self-tests perfbench/, a nested module that the root
@@ -35,7 +36,7 @@ check:
 	$(GO) test -race -count=2 -run 'UnderLossWorkerInvariant|ChaosWorkerInvariant' \
 		./internal/core/dataset ./internal/cartography ./internal/core/wanperf
 	$(GO) test -race -count=2 -run 'TestAnalyzeRetainsNoPooledBuffers' ./internal/capture
-	$(GO) test -race -count=2 -run 'TestCaptureChaosRace' ./internal/capture
+	$(GO) test -race -count=2 -run 'TestCaptureChaosRace|TestCapturePcapPinned|TestSortEvents' ./internal/capture
 	$(GO) test -race -count=2 -run 'TestStreamingSmallChunkInvariance' .
 	$(GO) test -race -count=2 -run 'CancelMidBuild' . ./api
 	$(MAKE) serve-smoke
@@ -121,6 +122,14 @@ fuzz-diskfmt:
 fuzz-dnswire:
 	$(GO) test -fuzz=FuzzUnpack -fuzztime=10s ./internal/dnswire
 	$(GO) test -fuzz=FuzzPackUnpack -fuzztime=10s ./internal/dnswire
+
+# Fuzz the HTTP head parsers the capture analyzer runs on TCP payloads
+# (arbitrary bytes must never panic them, and a head AppendRequest or
+# AppendResponse wrote must parse back with its Host, Content-Type and
+# Content-Length intact).
+fuzz-httpwire:
+	$(GO) test -fuzz=FuzzParseRequest -fuzztime=10s ./internal/httpwire
+	$(GO) test -fuzz=FuzzParseResponse -fuzztime=10s ./internal/httpwire
 
 # Fuzz xrand.New's O(1)-seeded source against math/rand's default
 # source (any seed and draw count must give the same stream, draw for

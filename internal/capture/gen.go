@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"math"
-	"slices"
 	"strings"
 	"time"
 
@@ -27,6 +26,11 @@ type host struct {
 	domain string
 	cloud  ipranges.Provider
 	ip     netaddr.IP
+	// hello and flight are every HTTPS flow's payloads to this host:
+	// the ClientHello naming it and the server's ServerHello plus
+	// Certificate for its domain. They depend on the host alone, so
+	// buildCatalog builds them once and shards only read them.
+	hello, flight []byte
 }
 
 // Generator synthesizes a border capture for a world.
@@ -94,6 +98,7 @@ type flowgen struct {
 	truth  *Truth
 	blk    *pcapio.Block
 	events []event
+	head   []byte // scratch an HTTP flow's two heads are appended into
 
 	flowIdx int
 	pktSeq  uint16
@@ -115,11 +120,28 @@ type pendingCorrupt struct {
 	draw float64
 }
 
-// newFlowgen builds one shard's flow factory. The stream is a NewFast
-// source, reseeded once per flow: the capture pcap goldens pin its
-// splitmix64 streams, so it cannot move to New's math/rand stream.
-func (g *Generator) newFlowgen() *flowgen {
-	return &flowgen{g: g, rng: xrand.NewFast(0), truth: newTruth(), blk: pcapio.GetBlock()}
+// A shard's event list and block are reserved up front from its flow
+// count, so they never regrow. A background flow averages about 8.4
+// records (TCP's 8–10 packets, mixed with two-packet DNS, ICMP and UDP
+// exchanges); an anchor flow is TCP, with up to 10 packets and an 11th
+// when chaos forges a reset. Frames average about 72 captured bytes,
+// and anchors' longer heads reach about 80.
+const (
+	bgRecordsPerFlow     = 9
+	anchorRecordsPerFlow = 11
+	bytesPerRecord       = 80
+)
+
+// newFlowgen builds the flow factory of a shard of flows flows, with
+// its event list and block reserved for perFlow records a flow. The
+// stream is a NewFast source, reseeded once per flow: the capture pcap
+// goldens pin its splitmix64 streams, so it cannot move to New's
+// math/rand stream.
+func (g *Generator) newFlowgen(flows, perFlow int) *flowgen {
+	fg := &flowgen{g: g, rng: xrand.NewFast(0), truth: newTruth(), blk: pcapio.GetBlock(), head: make([]byte, 0, 512)}
+	fg.events = make([]event, 0, flows*perFlow)
+	fg.blk.Grow(flows*perFlow, flows*perFlow*bytesPerRecord)
+	return fg
 }
 
 // beginFlow rewinds the stream onto flow idx's private sub-stream,
@@ -220,7 +242,7 @@ func (fg *flowgen) put(t time.Time, orig, n int) []byte {
 	fg.events = append(fg.events, event{
 		nano: t.UnixNano(),
 		ord:  uint64(fg.flowIdx)<<16 | uint64(seq),
-		rec:  rec, // blk is set when the shard's events are collected
+		rec:  rec, // blk is set when synthesize collects the shards
 	})
 	return data
 }
@@ -332,6 +354,34 @@ func (g *Generator) buildCatalog() {
 		// domains, as §3.3 observed.
 		g.bgZipf[p] = xrand.NewZipf(g.rng.Split("zipf/"+string(p)), len(g.background[p]), 1.3)
 	}
+	g.buildTLSPayloads()
+}
+
+// buildTLSPayloads fills in every catalog host's HTTPS payloads,
+// packed into shared slabs so the whole catalog costs a few
+// allocations instead of a dozen per HTTPS flow.
+func (g *Generator) buildTLSPayloads() {
+	var slab []byte
+	fill := func(hosts []host) {
+		for i := range hosts {
+			h := &hosts[i]
+			if cap(slab)-len(slab) < 1<<10 { // room for any host's pair
+				slab = make([]byte, 0, 64<<10)
+			}
+			n := len(slab)
+			slab = tlswire.AppendClientHello(slab, h.name)
+			h.hello = slab[n:len(slab):len(slab)]
+			n = len(slab)
+			slab = tlswire.AppendCertificate(tlswire.AppendServerHello(slab), "*."+h.domain)
+			h.flight = slab[n:len(slab):len(slab)]
+		}
+	}
+	for _, a := range trafficAnchors {
+		fill(g.anchorHosts[a.domain])
+	}
+	for _, p := range []ipranges.Provider{ipranges.EC2, ipranges.Azure} {
+		fill(g.background[p])
+	}
 }
 
 // event is one packet scheduled for the pcap: its timestamp, a total-
@@ -347,12 +397,61 @@ type event struct {
 	rec  int32
 }
 
-// compareEvents orders events by (timestamp, flow, packet).
+// compareEvents orders events by (timestamp, flow, packet): the
+// emission order sortEvents produces.
 func compareEvents(a, b event) int {
 	if c := cmp.Compare(a.nano, b.nano); c != 0 {
 		return c
 	}
 	return cmp.Compare(a.ord, b.ord)
+}
+
+// radixBits is sortEvents' digit width. Its 2,048 counters stay in
+// cache, and a capture's nanosecond span (a week plus the longest
+// flow, under 2^50) sorts in at most five passes.
+const radixBits = 11
+
+// sortEvents returns events in emission order, (timestamp, flow,
+// packet). synthesize collects events in ascending (flow, packet)
+// order, and capture faults move timestamps but never that order, so
+// a stable LSD radix sort on the timestamp alone — offset from the
+// earliest, so the span sets the pass count — yields the total order
+// with no comparisons. The result is events itself or one scratch
+// slice of the same length, whichever the last pass filled.
+func sortEvents(events []event) []event {
+	if len(events) < 2 {
+		return events
+	}
+	lo, hi := events[0].nano, events[0].nano
+	for _, ev := range events {
+		lo, hi = min(lo, ev.nano), max(hi, ev.nano)
+	}
+	const mask = 1<<radixBits - 1
+	var count [1 << radixBits]int
+	src, dst := events, []event(nil)
+	for shift := 0; uint64(hi-lo)>>shift != 0; shift += radixBits {
+		clear(count[:])
+		for _, ev := range src {
+			count[uint64(ev.nano-lo)>>shift&mask]++
+		}
+		if count[uint64(src[0].nano-lo)>>shift&mask] == len(src) {
+			continue // one digit value throughout: the pass would not move anything
+		}
+		sum := 0
+		for d, c := range count {
+			count[d], sum = sum, sum+c
+		}
+		if dst == nil {
+			dst = make([]event, len(events))
+		}
+		for _, ev := range src {
+			d := uint64(ev.nano-lo) >> shift & mask
+			dst[count[d]] = ev
+			count[d]++
+		}
+		src, dst = dst, src
+	}
+	return src
 }
 
 // anchorShareTotal is the fraction of HTTP(S) bytes Table 5's anchor
@@ -384,8 +483,32 @@ func anchorShareTotal() float64 {
 // needs the full background HTTP mass) is inherent to the calibration,
 // not an artifact of the fan-out.
 func (g *Generator) Generate(w *pcapio.Writer) (*Truth, error) {
-	var events []event
-	var blocks []*pcapio.Block
+	events, blocks, err := g.synthesize()
+	if err != nil {
+		return nil, err
+	}
+	for _, ev := range sortEvents(events) {
+		if err := w.WriteBlockRecord(blocks[ev.blk], int(ev.rec)); err != nil {
+			return nil, err
+		}
+	}
+	if err := w.Flush(); err != nil {
+		return nil, err
+	}
+	for _, b := range blocks {
+		b.Release()
+	}
+	t := g.truth
+	return &t, nil
+}
+
+// synthesize runs both calibration passes, folding each shard's truth
+// into g.truth, and returns every scheduled packet's event, in
+// ascending (flow, packet) order, with the blocks the events index.
+// Shards run over consecutive flow ranges and a flow's packets are
+// logged in sequence, so concatenating the shards in pass and shard
+// order yields that order; one pre-sized copy does it.
+func (g *Generator) synthesize() ([]event, []*pcapio.Block, error) {
 	shareS := anchorShareTotal()
 
 	// Anchors get a fixed ~6% of the flow budget, split ∝ √share so
@@ -416,19 +539,14 @@ func (g *Generator) Generate(w *pcapio.Writer) (*Truth, error) {
 		}
 	}
 
-	// collect folds one pass's shard results in shard order. (Truth
-	// merge is a sum and events get a total-order sort, so the fold
-	// order is cosmetic; the blocks just need to live until written.)
+	// collect folds one pass's shard truths (a sum, so the order is
+	// cosmetic) and keeps its shards, in order, for the final copy.
+	var shards []*flowgen
 	collect := func(fgs []*flowgen) {
 		for _, fg := range fgs {
-			bi := int32(len(blocks))
-			for _, ev := range fg.events {
-				ev.blk = bi
-				events = append(events, ev)
-			}
 			g.truth.merge(fg.truth)
-			blocks = append(blocks, fg.blk)
 		}
+		shards = append(shards, fgs...)
 	}
 
 	// Pass A: background flows fill the protocol mix. The per-cloud
@@ -440,7 +558,7 @@ func (g *Generator) Generate(w *pcapio.Writer) (*Truth, error) {
 		kindPick := xrand.NewWeighted(g.rng, flowKindWeights[cloud])
 		cloudBase := base
 		fgs, err := parallel.MapShards(g.cfg.Par, bgBudget[cloud], func(sh parallel.Shard) ([]*flowgen, error) {
-			fg := g.newFlowgen()
+			fg := g.newFlowgen(sh.Hi-sh.Lo, bgRecordsPerFlow)
 			for i := sh.Lo; i < sh.Hi; i++ {
 				idx := cloudBase + i + 1
 				fg.beginFlow(idx)
@@ -479,7 +597,7 @@ func (g *Generator) Generate(w *pcapio.Writer) (*Truth, error) {
 			return []*flowgen{fg}, nil
 		})
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		collect(fgs)
 		base += bgBudget[cloud]
@@ -502,7 +620,7 @@ func (g *Generator) Generate(w *pcapio.Writer) (*Truth, error) {
 		}
 	}
 	fgs, err := parallel.MapShards(g.cfg.Par, len(anchorOf), func(sh parallel.Shard) ([]*flowgen, error) {
-		fg := g.newFlowgen()
+		fg := g.newFlowgen(sh.Hi-sh.Lo, anchorRecordsPerFlow)
 		for j := sh.Lo; j < sh.Hi; j++ {
 			idx := base + j + 1
 			fg.beginFlow(idx)
@@ -519,24 +637,25 @@ func (g *Generator) Generate(w *pcapio.Writer) (*Truth, error) {
 		return []*flowgen{fg}, nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	collect(fgs)
 
-	slices.SortFunc(events, compareEvents)
-	for _, ev := range events {
-		if err := w.WriteBlockRecord(blocks[ev.blk], int(ev.rec)); err != nil {
-			return nil, err
+	n := 0
+	for _, fg := range shards {
+		n += len(fg.events)
+	}
+	events := make([]event, 0, n)
+	blocks := make([]*pcapio.Block, len(shards))
+	for bi, fg := range shards {
+		blocks[bi] = fg.blk
+		lo := len(events)
+		events = append(events, fg.events...)
+		for i := lo; i < len(events); i++ {
+			events[i].blk = int32(bi)
 		}
 	}
-	if err := w.Flush(); err != nil {
-		return nil, err
-	}
-	for _, b := range blocks {
-		b.Release()
-	}
-	t := g.truth
-	return &t, nil
+	return events, blocks, nil
 }
 
 // lognormalMean draws a heavy-tailed size with the given mean.
@@ -620,8 +739,9 @@ func (fg *flowgen) tcpFlow(idx int, kind Kind, h host, size int64) {
 // maximum accommodates the size (a 20 MB object can be text/plain — the
 // paper saw 24 MB ones — but not text/xml).
 func (fg *flowgen) contentTypeForSize(size int64) string {
-	names := make([]string, 0, len(contentTypes))
-	weights := make([]float64, 0, len(contentTypes))
+	var nameBuf [len(contentTypes)]string
+	var weightBuf [len(contentTypes)]float64
+	names, weights := nameBuf[:0], weightBuf[:0]
 	for _, ct := range contentTypes {
 		if ct.maxBytes >= size {
 			names = append(names, ct.name)
@@ -647,23 +767,33 @@ func (fg *flowgen) tcpFlowTyped(idx int, kind Kind, h host, size int64, ctype st
 	if kind == KindHTTPS {
 		serverPort = 443
 	}
-	var reqPayload, respPayload []byte
+	reqPayload, respPayload := h.hello, h.flight
 	if kind == KindHTTP {
-		req := httpwire.Request{Host: h.name, Path: "/" + ctype[strings.IndexByte(ctype, '/')+1:], Headers: browserHeaders}
-		reqPayload = req.SerializeRequest()
+		// Both heads go into the flowgen's scratch: the frames copy
+		// their payloads, so it is free again once the flow is emitted.
+		req := httpwire.Request{Host: h.name, Path: contentPath(ctype), Headers: browserHeaders}
+		fg.head = req.AppendRequest(fg.head[:0])
+		n := len(fg.head)
 		resp := httpwire.Response{StatusCode: 200, ContentType: ctype, ContentLength: size}
-		respPayload = resp.SerializeResponse()
-		if kind == KindHTTP && ctype != "" {
+		fg.head = resp.AppendResponse(fg.head)
+		reqPayload, respPayload = fg.head[:n:n], fg.head[n:]
+		if ctype != "" {
 			fg.truth.ContentTypeBytes[ctype] += size
 		}
-	} else {
-		reqPayload = tlswire.ClientHello(h.name)
-		respPayload = append(tlswire.ServerHello(), tlswire.Certificate("*."+h.domain)...)
 	}
 	reqBytes := int64(len(reqPayload)) + 300 // request head + client app data
 	respBytes := int64(len(respPayload)) + size
 	fg.account(h.cloud, kind, h.domain, reqBytes+respBytes)
 	fg.emitTCP(idx, clientIP, clientPort, h.ip, serverPort, reqPayload, respPayload, reqBytes, respBytes)
+}
+
+// contentPath is an HTTP flow's request path: "/" and the subtype of
+// its content type.
+func contentPath(ctype string) string {
+	if i := strings.IndexByte(ctype, '/'); i >= 0 {
+		return ctype[i:]
+	}
+	return "/" + ctype
 }
 
 // otherTCPFlow emits a non-HTTP TCP exchange (SMTP/SSH/FTP-ish).

@@ -83,7 +83,7 @@ type contentType struct {
 	maxBytes  int64
 }
 
-var contentTypes = []contentType{
+var contentTypes = [...]contentType{
 	{"text/html", 0.2410, 16 << 10, 3_700_000},
 	{"text/plain", 0.2337, 5 << 10, 24_400_000},
 	{"image/jpeg", 0.1064, 20 << 10, 18_700_000},

@@ -34,19 +34,38 @@ type TLV struct {
 
 // Encode renders a TLV with definite-length encoding.
 func Encode(tag int, value []byte) []byte {
-	out := []byte{byte(tag)}
-	n := len(value)
+	return append(AppendHeader(make([]byte, 0, Len(len(value))), tag, len(value)), value...)
+}
+
+// AppendHeader appends the tag and definite length of a TLV holding n
+// content bytes; the caller appends the content itself. With Len, it
+// lets an encoder write nested TLVs front to back into one buffer.
+func AppendHeader(b []byte, tag, n int) []byte {
+	b = append(b, byte(tag))
 	switch {
 	case n < 0x80:
-		out = append(out, byte(n))
+		return append(b, byte(n))
 	case n <= 0xff:
-		out = append(out, 0x81, byte(n))
+		return append(b, 0x81, byte(n))
 	case n <= 0xffff:
-		out = append(out, 0x82, byte(n>>8), byte(n))
+		return append(b, 0x82, byte(n>>8), byte(n))
 	default:
-		out = append(out, 0x83, byte(n>>16), byte(n>>8), byte(n))
+		return append(b, 0x83, byte(n>>16), byte(n>>8), byte(n))
 	}
-	return append(out, value...)
+}
+
+// Len returns the encoded size of a TLV holding n content bytes.
+func Len(n int) int {
+	switch {
+	case n < 0x80:
+		return 2 + n
+	case n <= 0xff:
+		return 3 + n
+	case n <= 0xffff:
+		return 4 + n
+	default:
+		return 5 + n
+	}
 }
 
 // Sequence encodes a SEQUENCE of already-encoded children.

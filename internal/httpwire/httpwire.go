@@ -7,9 +7,9 @@
 package httpwire
 
 import (
+	"bytes"
 	"slices"
 	"strconv"
-	"strings"
 )
 
 // Request is a parsed (or to-be-serialized) HTTP request head.
@@ -17,23 +17,19 @@ type Request struct {
 	Method  string
 	Path    string
 	Host    string
-	Headers map[string]string // canonical-cased keys, Host excluded
+	Headers map[string]string // Host excluded; nil when the head has no other header
 }
 
 // Response is a parsed (or to-be-serialized) HTTP response head.
 type Response struct {
 	StatusCode    int
 	ContentType   string
-	ContentLength int64 // -1 when absent
-	Headers       map[string]string
+	ContentLength int64             // -1 when absent
+	Headers       map[string]string // nil when the head has no other header
 }
 
-// headCap is the initial buffer size of a serialized head; most of
-// the capture's heads fit in it.
-const headCap = 128
-
-// SerializeRequest renders the request head (no body).
-func (r *Request) SerializeRequest() []byte {
+// AppendRequest appends the request head (no body) to b.
+func (r *Request) AppendRequest(b []byte) []byte {
 	method := r.Method
 	if method == "" {
 		method = "GET"
@@ -42,7 +38,6 @@ func (r *Request) SerializeRequest() []byte {
 	if path == "" {
 		path = "/"
 	}
-	b := make([]byte, 0, headCap)
 	b = append(b, method...)
 	b = append(b, ' ')
 	b = append(b, path...)
@@ -53,13 +48,12 @@ func (r *Request) SerializeRequest() []byte {
 	return append(b, "\r\n"...)
 }
 
-// SerializeResponse renders the response head (no body).
-func (r *Response) SerializeResponse() []byte {
+// AppendResponse appends the response head (no body) to b.
+func (r *Response) AppendResponse(b []byte) []byte {
 	code := r.StatusCode
 	if code == 0 {
 		code = 200
 	}
-	b := make([]byte, 0, headCap)
 	b = append(b, "HTTP/1.1 "...)
 	b = strconv.AppendInt(b, int64(code), 10)
 	b = append(b, ' ')
@@ -118,36 +112,38 @@ func statusText(code int) string {
 
 // ParseRequest extracts a request head from the start of data. ok is
 // false when data does not begin with a plausible HTTP request line.
-// A truncated header block still yields the fields seen so far.
+// A truncated header block still yields the fields seen so far. The
+// head is scanned in place: only the fields kept become strings.
 func ParseRequest(data []byte) (req Request, ok bool) {
 	line, rest, found := cutLine(data)
 	if !found && len(line) == 0 {
 		return req, false
 	}
-	parts := strings.SplitN(line, " ", 3)
-	if len(parts) != 3 || !strings.HasPrefix(parts[2], "HTTP/1.") {
+	// method SP path SP version, the version running to the line's end.
+	method, after, ok1 := bytes.Cut(line, space)
+	path, version, ok2 := bytes.Cut(after, space)
+	if !ok1 || !ok2 || !bytes.HasPrefix(version, http1) || !isToken(method) {
 		return req, false
 	}
-	if !isToken(parts[0]) {
-		return req, false
-	}
-	req.Method = parts[0]
-	req.Path = parts[1]
-	req.Headers = map[string]string{}
+	req.Method = string(method)
+	req.Path = string(path)
 	for {
-		var hline string
+		var hline []byte
 		hline, rest, found = cutLine(rest)
-		if hline == "" {
+		if len(hline) == 0 {
 			break
 		}
 		k, v, hok := cutHeader(hline)
 		if !hok {
 			break
 		}
-		if strings.EqualFold(k, "Host") {
-			req.Host = v
+		if bytes.EqualFold(k, []byte("Host")) {
+			req.Host = string(v)
 		} else {
-			req.Headers[k] = v
+			if req.Headers == nil {
+				req.Headers = map[string]string{}
+			}
+			req.Headers[string(k)] = string(v)
 		}
 		if !found {
 			break
@@ -163,23 +159,23 @@ func ParseResponse(data []byte) (resp Response, ok bool) {
 	if !found && len(line) == 0 {
 		return resp, false
 	}
-	if !strings.HasPrefix(line, "HTTP/1.") {
+	if !bytes.HasPrefix(line, http1) {
 		return resp, false
 	}
-	parts := strings.SplitN(line, " ", 3)
-	if len(parts) < 2 {
+	_, after, hasCode := bytes.Cut(line, space)
+	if !hasCode {
 		return resp, false
 	}
-	code, err := strconv.Atoi(parts[1])
+	codeText, _, _ := bytes.Cut(after, space)
+	code, err := strconv.Atoi(string(codeText))
 	if err != nil || code < 100 || code > 599 {
 		return resp, false
 	}
 	resp.StatusCode = code
-	resp.Headers = map[string]string{}
 	for {
-		var hline string
+		var hline []byte
 		hline, rest, found = cutLine(rest)
-		if hline == "" {
+		if len(hline) == 0 {
 			break
 		}
 		k, v, hok := cutHeader(hline)
@@ -187,14 +183,18 @@ func ParseResponse(data []byte) (resp Response, ok bool) {
 			break
 		}
 		switch {
-		case strings.EqualFold(k, "Content-Type"):
-			resp.ContentType = strings.TrimSpace(strings.SplitN(v, ";", 2)[0])
-		case strings.EqualFold(k, "Content-Length"):
-			if n, err := strconv.ParseInt(v, 10, 64); err == nil {
+		case bytes.EqualFold(k, []byte("Content-Type")):
+			mediaType, _, _ := bytes.Cut(v, []byte(";"))
+			resp.ContentType = string(bytes.TrimSpace(mediaType))
+		case bytes.EqualFold(k, []byte("Content-Length")):
+			if n, err := strconv.ParseInt(string(v), 10, 64); err == nil {
 				resp.ContentLength = n
 			}
 		default:
-			resp.Headers[k] = v
+			if resp.Headers == nil {
+				resp.Headers = map[string]string{}
+			}
+			resp.Headers[string(k)] = string(v)
 		}
 		if !found {
 			break
@@ -203,35 +203,40 @@ func ParseResponse(data []byte) (resp Response, ok bool) {
 	return resp, true
 }
 
+var (
+	space = []byte(" ")
+	http1 = []byte("HTTP/1.")
+)
+
 // cutLine splits at the first CRLF (or lone LF). found is false when no
-// terminator existed (line holds the partial tail).
-func cutLine(data []byte) (line string, rest []byte, found bool) {
-	for i := 0; i < len(data); i++ {
-		if data[i] == '\n' {
-			end := i
-			if end > 0 && data[end-1] == '\r' {
-				end--
-			}
-			return string(data[:end]), data[i+1:], true
-		}
+// terminator existed (line holds the partial tail). line aliases data.
+func cutLine(data []byte) (line, rest []byte, found bool) {
+	i := bytes.IndexByte(data, '\n')
+	if i < 0 {
+		return data, nil, false
 	}
-	return string(data), nil, false
+	end := i
+	if end > 0 && data[end-1] == '\r' {
+		end--
+	}
+	return data[:end], data[i+1:], true
 }
 
-func cutHeader(line string) (key, value string, ok bool) {
-	colon := strings.IndexByte(line, ':')
+// cutHeader splits a "key: value" line into its trimmed key and value,
+// both aliasing line.
+func cutHeader(line []byte) (key, value []byte, ok bool) {
+	colon := bytes.IndexByte(line, ':')
 	if colon <= 0 {
-		return "", "", false
+		return nil, nil, false
 	}
-	return strings.TrimSpace(line[:colon]), strings.TrimSpace(line[colon+1:]), true
+	return bytes.TrimSpace(line[:colon]), bytes.TrimSpace(line[colon+1:]), true
 }
 
-func isToken(s string) bool {
-	if s == "" {
+func isToken(s []byte) bool {
+	if len(s) == 0 {
 		return false
 	}
-	for i := 0; i < len(s); i++ {
-		c := s[i]
+	for _, c := range s {
 		if !(c >= 'A' && c <= 'Z' || c >= 'a' && c <= 'z' || c == '-') {
 			return false
 		}

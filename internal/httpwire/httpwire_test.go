@@ -13,7 +13,7 @@ func TestRequestRoundTrip(t *testing.T) {
 		Method: "GET", Path: "/index.html", Host: "www.dropbox.com",
 		Headers: map[string]string{"User-Agent": "cloudscope/1.0", "Accept": "*/*"},
 	}
-	raw := req.SerializeRequest()
+	raw := req.AppendRequest(nil)
 	got, ok := ParseRequest(raw)
 	if !ok {
 		t.Fatal("parse failed")
@@ -29,7 +29,7 @@ func TestRequestRoundTrip(t *testing.T) {
 func TestResponseRoundTrip(t *testing.T) {
 	resp := Response{StatusCode: 200, ContentType: "text/html", ContentLength: 5120,
 		Headers: map[string]string{"Server": "Apache"}}
-	raw := resp.SerializeResponse()
+	raw := resp.AppendResponse(nil)
 	got, ok := ParseResponse(raw)
 	if !ok {
 		t.Fatal("parse failed")
@@ -57,7 +57,7 @@ func TestMissingContentLength(t *testing.T) {
 
 func TestTruncatedHeadStillYieldsHost(t *testing.T) {
 	req := Request{Host: "api.netflix.com", Headers: map[string]string{"X-Long": "aaaa"}}
-	raw := req.SerializeRequest()
+	raw := req.AppendRequest(nil)
 	// Snap truncation mid-headers, after the Host line.
 	cut := bytes.Index(raw, []byte("X-Long")) + 3
 	got, ok := ParseRequest(raw[:cut])
@@ -92,11 +92,11 @@ func TestLoneLFAccepted(t *testing.T) {
 }
 
 func TestDefaultsInSerialization(t *testing.T) {
-	raw := (&Request{Host: "h"}).SerializeRequest()
+	raw := (&Request{Host: "h"}).AppendRequest(nil)
 	if !bytes.HasPrefix(raw, []byte("GET / HTTP/1.1\r\n")) {
 		t.Fatalf("raw = %q", raw)
 	}
-	rraw := (&Response{ContentLength: -1}).SerializeResponse()
+	rraw := (&Response{ContentLength: -1}).AppendResponse(nil)
 	if !bytes.HasPrefix(rraw, []byte("HTTP/1.1 200 OK\r\n")) {
 		t.Fatalf("rraw = %q", rraw)
 	}
@@ -166,7 +166,7 @@ func TestSerializeMatchesFmtRendering(t *testing.T) {
 		{Host: "many.example", Headers: many},
 	}
 	for _, r := range reqs {
-		if got, want := r.SerializeRequest(), fmtRequest(&r); !bytes.Equal(got, want) {
+		if got, want := r.AppendRequest(nil), fmtRequest(&r); !bytes.Equal(got, want) {
 			t.Errorf("request %+v:\ngot  %q\nwant %q", r, got, want)
 		}
 	}
@@ -179,12 +179,12 @@ func TestSerializeMatchesFmtRendering(t *testing.T) {
 		{StatusCode: 206, Headers: many},
 	}
 	for _, r := range resps {
-		if got, want := r.SerializeResponse(), fmtResponse(&r); !bytes.Equal(got, want) {
+		if got, want := r.AppendResponse(nil), fmtResponse(&r); !bytes.Equal(got, want) {
 			t.Errorf("response %+v:\ngot  %q\nwant %q", r, got, want)
 		}
 	}
 	// Headers come out in sorted key order.
-	raw := string((&Request{Host: "h", Headers: map[string]string{"B": "2", "A": "1", "C": "3"}}).SerializeRequest())
+	raw := string((&Request{Host: "h", Headers: map[string]string{"B": "2", "A": "1", "C": "3"}}).AppendRequest(nil))
 	if want := "GET / HTTP/1.1\r\nHost: h\r\nA: 1\r\nB: 2\r\nC: 3\r\n\r\n"; raw != want {
 		t.Errorf("got %q, want %q", raw, want)
 	}

@@ -23,8 +23,8 @@ func TestParsersNeverPanicOnRandomBytes(t *testing.T) {
 
 func TestParseAnyTruncationOfValidMessages(t *testing.T) {
 	req := (&Request{Host: "api.example.com", Path: "/v1/items?page=2",
-		Headers: map[string]string{"User-Agent": "x", "Accept": "*/*"}}).SerializeRequest()
-	resp := (&Response{StatusCode: 200, ContentType: "text/html", ContentLength: 1234}).SerializeResponse()
+		Headers: map[string]string{"User-Agent": "x", "Accept": "*/*"}}).AppendRequest(nil)
+	resp := (&Response{StatusCode: 200, ContentType: "text/html", ContentLength: 1234}).AppendResponse(nil)
 	for i := 0; i <= len(req); i++ {
 		_, _ = ParseRequest(req[:i]) // must not panic; ok may be false
 	}

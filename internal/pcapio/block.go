@@ -120,6 +120,15 @@ func (b *Block) Record(i int) Record {
 	return Record{Time: b.Time(i), OrigLen: b.OrigLen(i), Data: b.Data(i)}
 }
 
+// Grow reserves room for records more records carrying bytes more
+// captured bytes in total, so appends within that budget do not
+// reallocate. A writer that knows its volume up front sizes the block
+// once instead of regrowing it record by record.
+func (b *Block) Grow(records, bytes int) {
+	b.buf = slices.Grow(b.buf, records*blockPrefixLen+bytes)
+	b.offs = slices.Grow(b.offs, records)
+}
+
 // AppendRecord reserves a new record of n captured bytes with the given
 // timestamp and wire length, returning the zeroed data slice for the
 // caller to fill in place — the zero-copy write path frame builders

@@ -157,3 +157,18 @@ func TestReleaseDropsOversizedBuffer(t *testing.T) {
 		t.Fatalf("well-used buffer dropped: cap %d -> %d", kept, cap(k.buf))
 	}
 }
+
+// TestGrowReservesWholeBudget: after Grow, appending the reserved
+// number of records and captured bytes never reallocates the block.
+func TestGrowReservesWholeBudget(t *testing.T) {
+	var b Block
+	b.Grow(100, 100*90)
+	buf, offs := cap(b.buf), cap(b.offs)
+	for i := 0; i < 100; i++ {
+		b.AppendRecord(t0, 1514, 90)
+	}
+	if cap(b.buf) != buf || cap(b.offs) != offs {
+		t.Fatalf("appends within the budget regrew the block: buf cap %d → %d, offs cap %d → %d",
+			buf, cap(b.buf), offs, cap(b.offs))
+	}
+}

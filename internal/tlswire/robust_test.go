@@ -23,7 +23,7 @@ func TestParsersNeverPanicOnRandomBytes(t *testing.T) {
 }
 
 func TestParsersNeverPanicOnMutatedRecords(t *testing.T) {
-	base := append(ClientHello("dl.dropbox.com"), Certificate("*.dropbox.com")...)
+	base := append(AppendClientHello(nil, "dl.dropbox.com"), AppendCertificate(nil, "*.dropbox.com")...)
 	f := func(pos uint16, val byte, cut uint16) bool {
 		data := append([]byte(nil), base...)
 		data[int(pos)%len(data)] = val

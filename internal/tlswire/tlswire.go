@@ -39,102 +39,118 @@ var (
 	ErrBadRecord = errors.New("tlswire: malformed record")
 )
 
-// record frames a payload as one TLS record.
-func record(contentType byte, payload []byte) []byte {
-	out := make([]byte, 5+len(payload))
-	out[0] = contentType
-	binary.BigEndian.PutUint16(out[1:3], VersionTLS12)
-	binary.BigEndian.PutUint16(out[3:5], uint16(len(payload)))
-	copy(out[5:], payload)
-	return out
+// The Append builders write each record front to back into the
+// caller's buffer, leaving its fixed-width length fields open and
+// filling them in once the body is written, so building a flight costs
+// no allocation when the buffer has room.
+
+// beginRecord appends a record header whose length is filled in by
+// endRecord, returning the record's offset in b.
+func beginRecord(b []byte, contentType byte) ([]byte, int) {
+	return append(b, contentType, VersionTLS12>>8, VersionTLS12&0xff, 0, 0), len(b)
 }
 
-// handshake frames a handshake message body.
-func handshake(msgType byte, body []byte) []byte {
-	out := make([]byte, 4+len(body))
-	out[0] = msgType
-	out[1] = byte(len(body) >> 16)
-	out[2] = byte(len(body) >> 8)
-	out[3] = byte(len(body))
-	copy(out[4:], body)
-	return out
+// endRecord fills in the length of the record begun at start.
+func endRecord(b []byte, start int) []byte {
+	binary.BigEndian.PutUint16(b[start+3:], uint16(len(b)-start-5))
+	return b
 }
 
-// ClientHello builds a handshake record containing a ClientHello with a
-// server_name extension for sni.
-func ClientHello(sni string) []byte {
-	var body []byte
-	body = binary.BigEndian.AppendUint16(body, VersionTLS12)
-	body = append(body, make([]byte, 32)...) // random
-	body = append(body, 0)                   // session id length
-	body = binary.BigEndian.AppendUint16(body, 2)
-	body = binary.BigEndian.AppendUint16(body, 0x002f) // one cipher suite
-	body = append(body, 1, 0)                          // compression: null
-
-	// server_name extension (type 0).
-	name := []byte(sni)
-	var ext []byte
-	ext = binary.BigEndian.AppendUint16(ext, 0) // extension type
-	inner := make([]byte, 0, len(name)+5)
-	inner = binary.BigEndian.AppendUint16(inner, uint16(len(name)+3)) // server_name_list length
-	inner = append(inner, 0)                                          // name type: host_name
-	inner = binary.BigEndian.AppendUint16(inner, uint16(len(name)))
-	inner = append(inner, name...)
-	ext = binary.BigEndian.AppendUint16(ext, uint16(len(inner)))
-	ext = append(ext, inner...)
-
-	body = binary.BigEndian.AppendUint16(body, uint16(len(ext)))
-	body = append(body, ext...)
-	return record(RecordHandshake, handshake(HandshakeClientHello, body))
+// beginHandshake appends a handshake record's two headers, returning
+// the record's offset in b for endHandshake.
+func beginHandshake(b []byte, msgType byte) ([]byte, int) {
+	b, start := beginRecord(b, RecordHandshake)
+	return append(b, msgType, 0, 0, 0), start
 }
 
-// ServerHello builds a minimal ServerHello record.
-func ServerHello() []byte {
-	var body []byte
-	body = binary.BigEndian.AppendUint16(body, VersionTLS12)
-	body = append(body, make([]byte, 32)...) // random
-	body = append(body, 0)                   // session id length
-	body = binary.BigEndian.AppendUint16(body, 0x002f)
-	body = append(body, 0) // compression
-	return record(RecordHandshake, handshake(HandshakeServerHello, body))
+// endHandshake fills in the message and record lengths of the
+// handshake record begun at start.
+func endHandshake(b []byte, start int) []byte {
+	putUint24(b[start+6:], len(b)-start-9)
+	return endRecord(b, start)
 }
 
-// Certificate builds a Certificate record whose single certificate has
-// subject CN = commonName.
-func Certificate(commonName string) []byte {
-	cert := buildCert(commonName)
+func putUint24(b []byte, v int) {
+	b[0], b[1], b[2] = byte(v>>16), byte(v>>8), byte(v)
+}
+
+// zeroRandom is the hellos' 32-byte random field.
+var zeroRandom [32]byte
+
+// AppendClientHello appends a handshake record containing a ClientHello
+// with a server_name extension for sni.
+func AppendClientHello(b []byte, sni string) []byte {
+	b, start := beginHandshake(b, HandshakeClientHello)
+	b = binary.BigEndian.AppendUint16(b, VersionTLS12)
+	b = append(b, zeroRandom[:]...)
+	b = append(b, 0) // session id length
+	b = binary.BigEndian.AppendUint16(b, 2)
+	b = binary.BigEndian.AppendUint16(b, 0x002f) // one cipher suite
+	b = append(b, 1, 0)                          // compression: null
+	// One extension, server_name (type 0), holding one host_name.
+	b = binary.BigEndian.AppendUint16(b, uint16(len(sni)+9)) // extensions length
+	b = binary.BigEndian.AppendUint16(b, 0)                  // extension type
+	b = binary.BigEndian.AppendUint16(b, uint16(len(sni)+5)) // extension length
+	b = binary.BigEndian.AppendUint16(b, uint16(len(sni)+3)) // server_name_list length
+	b = append(b, 0)                                         // name type: host_name
+	b = binary.BigEndian.AppendUint16(b, uint16(len(sni)))
+	b = append(b, sni...)
+	return endHandshake(b, start)
+}
+
+// AppendServerHello appends a minimal ServerHello record.
+func AppendServerHello(b []byte) []byte {
+	b, start := beginHandshake(b, HandshakeServerHello)
+	b = binary.BigEndian.AppendUint16(b, VersionTLS12)
+	b = append(b, zeroRandom[:]...)
+	b = append(b, 0) // session id length
+	b = binary.BigEndian.AppendUint16(b, 0x002f)
+	b = append(b, 0) // compression
+	return endHandshake(b, start)
+}
+
+// AppendCertificate appends a Certificate record whose single
+// certificate has subject CN = commonName.
+func AppendCertificate(b []byte, commonName string) []byte {
+	b, start := beginHandshake(b, HandshakeCertificate)
 	// certificate_list: 3-byte total length, then 3-byte per-cert length.
-	body := make([]byte, 0, len(cert)+6)
-	total := len(cert) + 3
-	body = append(body, byte(total>>16), byte(total>>8), byte(total))
-	body = append(body, byte(len(cert)>>16), byte(len(cert)>>8), byte(len(cert)))
-	body = append(body, cert...)
-	return record(RecordHandshake, handshake(HandshakeCertificate, body))
+	lists := len(b)
+	b = appendCert(append(b, 0, 0, 0, 0, 0, 0), commonName)
+	putUint24(b[lists:], len(b)-lists-3)
+	putUint24(b[lists+3:], len(b)-lists-6)
+	return endHandshake(b, start)
 }
 
-// buildCert produces a compact X.509-shaped DER structure: a SEQUENCE
-// holding a serial and a subject Name with one CN RDN.
-func buildCert(cn string) []byte {
-	subject := der.Sequence(
-		der.Set(der.Sequence(
-			der.Encode(der.TagOID, der.OIDCommonName),
-			der.PrintableString(cn),
-		)),
-	)
-	return der.Sequence(
-		der.Integer(0x01beef),
-		subject,
-	)
+// certSerial is every certificate's serial number, DER-encoded.
+var certSerial = der.Integer(0x01beef)
+
+// appendCert appends a compact X.509-shaped DER structure: a SEQUENCE
+// holding a serial and a subject Name with one CN RDN. DER lengths
+// vary in width, so each is sized from its content before it is
+// written.
+func appendCert(b []byte, cn string) []byte {
+	atv := der.Len(len(der.OIDCommonName)) + der.Len(len(cn)) // AttributeTypeAndValue
+	rdn := der.Len(atv)                                       // the SET holding it
+	name := der.Len(rdn)                                      // the subject Name
+	b = der.AppendHeader(b, der.TagSequence, len(certSerial)+der.Len(name))
+	b = append(b, certSerial...)
+	b = der.AppendHeader(b, der.TagSequence, name)
+	b = der.AppendHeader(b, der.TagSet, rdn)
+	b = der.AppendHeader(b, der.TagSequence, atv)
+	b = der.AppendHeader(b, der.TagOID, len(der.OIDCommonName))
+	b = append(b, der.OIDCommonName...)
+	b = der.AppendHeader(b, der.TagPrintableString, len(cn))
+	return append(b, cn...)
 }
 
-// ApplicationData builds one opaque application-data record header for
-// length bytes of ciphertext; payload bytes are zeros (truncated in
-// snap captures anyway).
-func ApplicationData(length int) []byte {
-	if length > 16384 {
-		length = 16384
-	}
-	return record(RecordApplicationData, make([]byte, length))
+// AppendApplicationData appends one opaque application-data record of
+// length bytes of ciphertext (capped at the TLS maximum of 16384);
+// the payload bytes are zeros (truncated in snap captures anyway).
+func AppendApplicationData(b []byte, length int) []byte {
+	length = min(length, 16384)
+	b, start := beginRecord(b, RecordApplicationData)
+	b = append(b, make([]byte, length)...)
+	return endRecord(b, start)
 }
 
 // ParseRecord splits one TLS record off data.

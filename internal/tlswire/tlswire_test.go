@@ -6,7 +6,7 @@ import (
 
 func TestSNIRoundTrip(t *testing.T) {
 	for _, name := range []string{"dl.dropbox.com", "a.b.c.example.org", "x.io"} {
-		rec := ClientHello(name)
+		rec := AppendClientHello(nil, name)
 		got, ok := SNI(rec)
 		if !ok || got != name {
 			t.Fatalf("SNI = %q ok=%v, want %q", got, ok, name)
@@ -16,7 +16,7 @@ func TestSNIRoundTrip(t *testing.T) {
 
 func TestCertificateCNRoundTrip(t *testing.T) {
 	for _, cn := range []string{"*.dropbox.com", "www.netflix.com"} {
-		rec := Certificate(cn)
+		rec := AppendCertificate(nil, cn)
 		got, ok := CertificateCN(rec)
 		if !ok || got != cn {
 			t.Fatalf("CN = %q ok=%v, want %q", got, ok, cn)
@@ -25,7 +25,7 @@ func TestCertificateCNRoundTrip(t *testing.T) {
 }
 
 func TestServerHelloParses(t *testing.T) {
-	ct, payload, rest, err := ParseRecord(ServerHello())
+	ct, payload, rest, err := ParseRecord(AppendServerHello(nil))
 	if err != nil || ct != RecordHandshake || len(rest) != 0 {
 		t.Fatalf("ct=%d err=%v", ct, err)
 	}
@@ -35,10 +35,10 @@ func TestServerHelloParses(t *testing.T) {
 }
 
 func TestSNIRejectsOtherRecords(t *testing.T) {
-	if _, ok := SNI(ServerHello()); ok {
+	if _, ok := SNI(AppendServerHello(nil)); ok {
 		t.Fatal("SNI from ServerHello")
 	}
-	if _, ok := SNI(Certificate("x")); ok {
+	if _, ok := SNI(AppendCertificate(nil, "x")); ok {
 		t.Fatal("SNI from Certificate")
 	}
 	if _, ok := SNI([]byte("GET / HTTP/1.1\r\n")); ok {
@@ -50,7 +50,7 @@ func TestSNIRejectsOtherRecords(t *testing.T) {
 }
 
 func TestCNRejectsOtherRecords(t *testing.T) {
-	if _, ok := CertificateCN(ClientHello("x")); ok {
+	if _, ok := CertificateCN(AppendClientHello(nil, "x")); ok {
 		t.Fatal("CN from ClientHello")
 	}
 	if _, ok := CertificateCN([]byte{1, 2, 3}); ok {
@@ -59,13 +59,13 @@ func TestCNRejectsOtherRecords(t *testing.T) {
 }
 
 func TestApplicationData(t *testing.T) {
-	rec := ApplicationData(1000)
+	rec := AppendApplicationData(nil, 1000)
 	ct, payload, rest, err := ParseRecord(rec)
 	if err != nil || ct != RecordApplicationData || len(payload) != 1000 || len(rest) != 0 {
 		t.Fatalf("ct=%d len=%d err=%v", ct, len(payload), err)
 	}
 	// Length capped at TLS max.
-	rec = ApplicationData(1 << 20)
+	rec = AppendApplicationData(nil, 1<<20)
 	_, payload, _, _ = ParseRecord(rec)
 	if len(payload) != 16384 {
 		t.Fatalf("cap failed: %d", len(payload))
@@ -73,7 +73,7 @@ func TestApplicationData(t *testing.T) {
 }
 
 func TestSnapTruncatedRecord(t *testing.T) {
-	rec := ClientHello("very-long-name.example.com")
+	rec := AppendClientHello(nil, "very-long-name.example.com")
 	// Cut the record body short of its declared length.
 	cut := rec[:len(rec)-10]
 	ct, payload, rest, err := ParseRecord(cut)
@@ -91,7 +91,7 @@ func TestSnapTruncatedRecord(t *testing.T) {
 }
 
 func TestMultipleRecordsSequential(t *testing.T) {
-	stream := append(append(ServerHello(), Certificate("svc.example.com")...), ApplicationData(64)...)
+	stream := append(append(AppendServerHello(nil), AppendCertificate(nil, "svc.example.com")...), AppendApplicationData(nil, 64)...)
 	var types []byte
 	for len(stream) > 0 {
 		ct, _, rest, err := ParseRecord(stream)
@@ -105,7 +105,7 @@ func TestMultipleRecordsSequential(t *testing.T) {
 		t.Fatalf("types = %v", types)
 	}
 	// CN still extractable from the second record in the stream.
-	_, _, rest, _ := ParseRecord(append(ServerHello(), Certificate("svc.example.com")...))
+	_, _, rest, _ := ParseRecord(append(AppendServerHello(nil), AppendCertificate(nil, "svc.example.com")...))
 	cn, ok := CertificateCN(rest)
 	if !ok || cn != "svc.example.com" {
 		t.Fatalf("cn=%q ok=%v", cn, ok)
