@@ -222,7 +222,7 @@ func (fg *flowgen) corruptRecord(rec int32, draw float64) {
 }
 
 // put reserves one packet record in the shard's block and logs the
-// event with its total-order key. The returned slice is the zeroed
+// event that schedules it. The returned slice is the zeroed
 // frame buffer to serialize into. A cap-drop verdict reserves the
 // record but never schedules it — the pcap simply lacks the packet —
 // and a cap-corrupt verdict is deferred until the flow finishes
@@ -241,7 +241,6 @@ func (fg *flowgen) put(t time.Time, orig, n int) []byte {
 	}
 	fg.events = append(fg.events, event{
 		nano: t.UnixNano(),
-		ord:  uint64(fg.flowIdx)<<16 | uint64(seq),
 		rec:  rec, // blk is set when synthesize collects the shards
 	})
 	return data
@@ -384,26 +383,30 @@ func (g *Generator) buildTLSPayloads() {
 	}
 }
 
-// event is one packet scheduled for the pcap: its timestamp, a total-
-// order tie-break (flow index and packet sequence — unique per packet,
-// so the emission order is a pure function of the flow population, not
-// of how shards happened to arrange the events before the sort), and
-// the block record holding the frame bytes: an index into Generate's
-// block list, so events hold no pointers for the GC to scan.
+// event is one packet scheduled for the pcap: its timestamp and the
+// block record holding its frame — an index into synthesize's block
+// list, so events hold no pointers for the GC to scan. Blocks follow
+// the shards in pass and shard order, each shard covers a consecutive
+// flow range, and a shard logs its flows' packets in sequence, so the
+// position (blk, rec) orders events exactly as (flow index, packet
+// sequence) does: a key unique per packet whose order does not depend
+// on how the flows were sharded.
 type event struct {
 	nano int64
-	ord  uint64
 	blk  int32
 	rec  int32
 }
 
-// compareEvents orders events by (timestamp, flow, packet): the
-// emission order sortEvents produces.
+// compareEvents orders events by (timestamp, flow, packet), through
+// their positions: the emission order sortEvents produces.
 func compareEvents(a, b event) int {
 	if c := cmp.Compare(a.nano, b.nano); c != 0 {
 		return c
 	}
-	return cmp.Compare(a.ord, b.ord)
+	if c := cmp.Compare(a.blk, b.blk); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.rec, b.rec)
 }
 
 // radixBits is sortEvents' digit width. Its 2,048 counters stay in
@@ -412,11 +415,11 @@ func compareEvents(a, b event) int {
 const radixBits = 11
 
 // sortEvents returns events in emission order, (timestamp, flow,
-// packet). synthesize collects events in ascending (flow, packet)
-// order, and capture faults move timestamps but never that order, so
-// a stable LSD radix sort on the timestamp alone — offset from the
-// earliest, so the span sets the pass count — yields the total order
-// with no comparisons. The result is events itself or one scratch
+// packet). synthesize collects events in ascending position, which is
+// (flow, packet) order, and capture faults move timestamps but never
+// positions, so a stable LSD radix sort on the timestamp alone —
+// offset from the earliest, so the span sets the pass count — yields
+// the total order with no comparisons. The result is events itself or one scratch
 // slice of the same length, whichever the last pass filled.
 func sortEvents(events []event) []event {
 	if len(events) < 2 {
@@ -507,7 +510,8 @@ func (g *Generator) Generate(w *pcapio.Writer) (*Truth, error) {
 // ascending (flow, packet) order, with the blocks the events index.
 // Shards run over consecutive flow ranges and a flow's packets are
 // logged in sequence, so concatenating the shards in pass and shard
-// order yields that order; one pre-sized copy does it.
+// order — one pre-sized copy — yields that order, which is also
+// ascending position (see event).
 func (g *Generator) synthesize() ([]event, []*pcapio.Block, error) {
 	shareS := anchorShareTotal()
 

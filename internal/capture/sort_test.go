@@ -20,21 +20,25 @@ func checkSortEvents(t *testing.T, name string, events []event) {
 	}
 }
 
-// TestSortEventsMatchesComparisonSort: on inputs in ascending ord, the
-// order synthesize collects events in, the radix sort gives exactly the
-// comparison sort's order — with timestamp ties, on degenerate inputs,
-// and for spans that take every pass count from one to five.
+// TestSortEventsMatchesComparisonSort: on inputs in ascending position,
+// the order synthesize collects events in, the radix sort gives exactly
+// the comparison sort's order — with timestamp ties, on degenerate
+// inputs, and for spans that take every pass count from one to five.
 func TestSortEventsMatchesComparisonSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	base := captureStart.UnixNano()
-	// ascending builds n events in ascending ord, with gaps, whose
-	// timestamps come from nano(i).
+	// ascending builds n events in ascending position, spread over a
+	// few blocks with gaps between records, whose timestamps come from
+	// nano(i).
 	ascending := func(n int, nano func(i int) int64) []event {
 		events := make([]event, n)
-		ord := uint64(0)
+		blk, rec := int32(0), int32(0)
 		for i := range events {
-			ord += 1 + uint64(rng.Intn(3))
-			events[i] = event{nano: nano(i), ord: ord, blk: int32(rng.Intn(4)), rec: int32(i)}
+			if rng.Intn(50) == 0 {
+				blk, rec = blk+1, 0
+			}
+			rec += 1 + int32(rng.Intn(3))
+			events[i] = event{nano: nano(i), blk: blk, rec: rec}
 		}
 		return events
 	}
@@ -67,7 +71,9 @@ func TestSortEventsMatchesComparisonSort(t *testing.T) {
 // events synthesize really collects under hostile-capture, whose
 // reorder fault swaps timestamps inside flows, at Workers 1 and 4, and
 // checks the invariant the radix sort relies on: the collected events
-// are in strictly ascending ord.
+// are in strictly ascending position. (That position order is the
+// (flow, packet) order is what TestCapturePcapPinned holds against
+// the pinned bytes of a build that sorted on flow and packet.)
 func TestSortEventsOnCollectedEvents(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		cfg := chaosCfg(t, 900, "hostile-capture", 3)
@@ -81,9 +87,10 @@ func TestSortEventsOnCollectedEvents(t *testing.T) {
 			t.Fatalf("Workers=%d: no reorder fault fired", workers)
 		}
 		for i := 1; i < len(events); i++ {
-			if events[i-1].ord >= events[i].ord {
-				t.Fatalf("Workers=%d: collected events %d and %d out of ord order (%#x, %#x)",
-					workers, i-1, i, events[i-1].ord, events[i].ord)
+			a, b := events[i-1], events[i]
+			if a.blk > b.blk || a.blk == b.blk && a.rec >= b.rec {
+				t.Fatalf("Workers=%d: collected events %d and %d out of position order: (%d, %d) then (%d, %d)",
+					workers, i-1, i, a.blk, a.rec, b.blk, b.rec)
 			}
 		}
 		checkSortEvents(t, "hostile-capture", events)
