@@ -1,7 +1,6 @@
 package capture
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"strings"
@@ -397,18 +396,6 @@ type event struct {
 	rec  int32
 }
 
-// compareEvents orders events by (timestamp, flow, packet), through
-// their positions: the emission order sortEvents produces.
-func compareEvents(a, b event) int {
-	if c := cmp.Compare(a.nano, b.nano); c != 0 {
-		return c
-	}
-	if c := cmp.Compare(a.blk, b.blk); c != 0 {
-		return c
-	}
-	return cmp.Compare(a.rec, b.rec)
-}
-
 // radixBits is sortEvents' digit width. Its 2,048 counters stay in
 // cache, and a capture's nanosecond span (a week plus the longest
 // flow, under 2^50) sorts in at most five passes.
@@ -419,8 +406,8 @@ const radixBits = 11
 // (flow, packet) order, and capture faults move timestamps but never
 // positions, so a stable LSD radix sort on the timestamp alone —
 // offset from the earliest, so the span sets the pass count — yields
-// the total order with no comparisons. The result is events itself or one scratch
-// slice of the same length, whichever the last pass filled.
+// the total order with no comparisons. The result is events itself or
+// one scratch slice of the same length, whichever the last pass filled.
 func sortEvents(events []event) []event {
 	if len(events) < 2 {
 		return events

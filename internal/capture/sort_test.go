@@ -1,6 +1,7 @@
 package capture
 
 import (
+	"cmp"
 	"math/rand"
 	"slices"
 	"testing"
@@ -8,6 +9,18 @@ import (
 	"cloudscope/internal/chaos"
 	"cloudscope/internal/parallel"
 )
+
+// compareEvents is the reference emission order sortEvents must give:
+// (timestamp, flow, packet), through the events' positions.
+func compareEvents(a, b event) int {
+	if c := cmp.Compare(a.nano, b.nano); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.blk, b.blk); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.rec, b.rec)
+}
 
 // checkSortEvents asserts sortEvents orders events exactly as the
 // comparison sort on (timestamp, flow, packet) does.
