@@ -418,21 +418,15 @@ func sortEvents(events []event) []event {
 	}
 	const mask = 1<<radixBits - 1
 	var count [1 << radixBits]int
-	src, dst := events, []event(nil)
+	src, dst := events, make([]event, len(events))
 	for shift := 0; uint64(hi-lo)>>shift != 0; shift += radixBits {
 		clear(count[:])
 		for _, ev := range src {
 			count[uint64(ev.nano-lo)>>shift&mask]++
 		}
-		if count[uint64(src[0].nano-lo)>>shift&mask] == len(src) {
-			continue // one digit value throughout: the pass would not move anything
-		}
 		sum := 0
 		for d, c := range count {
 			count[d], sum = sum, sum+c
-		}
-		if dst == nil {
-			dst = make([]event, len(events))
 		}
 		for _, ev := range src {
 			d := uint64(ev.nano-lo) >> shift & mask

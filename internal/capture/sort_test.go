@@ -73,8 +73,8 @@ func TestSortEventsMatchesComparisonSort(t *testing.T) {
 			checkSortEvents(t, "random", events)
 		}
 	}
-	// Timestamps that differ only in their top digit, so the passes
-	// over the lower digits find one value throughout and are skipped.
+	// Timestamps that differ only in their top digit, so every pass
+	// over a lower digit finds one value throughout.
 	checkSortEvents(t, "top digit only", ascending(300, func(int) int64 {
 		return base + int64(rng.Intn(5))<<(4*radixBits)
 	}))
