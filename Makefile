@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build check test race bench serve-smoke experiments world chaos bisect-smoke fuzz-chaos fuzz-chaos-v3 fuzz-trace fuzz-packet fuzz-pcap fuzz-diskfmt fuzz-dnswire fuzz-httpwire fuzz-xrand clean
+.PHONY: all build check test race bench serve-smoke experiments world chaos bisect-smoke fuzz-chaos fuzz-chaos-v3 fuzz-trace fuzz-packet fuzz-pcap fuzz-dataset fuzz-dnswire fuzz-httpwire fuzz-xrand clean
 
 all: build check test
 
@@ -110,11 +110,11 @@ fuzz-packet:
 fuzz-pcap:
 	$(GO) test -fuzz=FuzzPcapRead -fuzztime=10s ./internal/pcapio
 
-# Fuzz the spill-file decoder (arbitrary bytes must decode cleanly or
-# error — never panic or over-read — and whatever decodes must survive
-# an encode/decode round trip).
-fuzz-diskfmt:
-	$(GO) test -fuzz=FuzzDiskFmtRoundTrip -fuzztime=10s ./internal/core/dataset/diskfmt
+# Fuzz the dataset text reader that loads saved datasets (arbitrary
+# bytes must error, never panic, and whatever Read accepts must come
+# back from WriteTo in a canonical form that rewrites to itself).
+fuzz-dataset:
+	$(GO) test -run '^$$' -fuzz=FuzzRead -fuzztime=30s ./internal/core/dataset
 
 # Fuzz the DNS wire codec every simulated query crosses (arbitrary
 # bytes must never panic Unpack, and whatever Unpack accepts must fail

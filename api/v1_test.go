@@ -4,8 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"cloudscope"
@@ -71,6 +73,30 @@ func TestStudyV1WorkerInvariant(t *testing.T) {
 	par := marshalStudy(t, cloudscope.NewStudy(cfg))
 	if string(seq) != string(par) {
 		t.Fatal("V1 JSON differs between Workers=1 and Workers=3")
+	}
+}
+
+// TestOutageHeadlineMatchesExperiment holds the outage headline to one
+// definition: the ext-outage experiment prints the same cloud share
+// /v1/outage serves, both over the discovered cloud-using domains.
+func TestOutageHeadlineMatchesExperiment(t *testing.T) {
+	// At 300 domains discovery finds all 25 planted cloud-using
+	// domains; at 500 it finds 32 of 34, so a planted denominator
+	// would print a different share.
+	cfg := testConfig()
+	cfg.Domains = 500
+	s := cloudscope.NewStudy(cfg)
+	text, err := s.RunExperiment("ext-outage")
+	if err != nil {
+		t.Fatal(err)
+	}
+	og, err := Outage(context.Background(), s, "ec2.us-east-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("%.1f%% of cloud-using domains", 100*og.Headline.CloudShare)
+	if !strings.Contains(text, want) {
+		t.Fatalf("ext-outage does not print %q:\n%s", want, text)
 	}
 }
 

@@ -5,10 +5,13 @@
 package main
 
 import (
+	"bufio"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"cloudscope"
 	"cloudscope/internal/cliflags"
@@ -72,30 +75,17 @@ func main() {
 	}
 	f.Close()
 
-	// Ranked list with ground truth summary.
-	f, err = os.Create(filepath.Join(*outDir, "domains.csv"))
+	// Ranked list and subdomain inventory with ground truth.
+	cw, err := createCSVs(*outDir)
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Fprintln(f, "rank,domain,cloud_using,home_region,customer_country,cloud_subdomains")
 	for _, d := range world.Domains {
-		fmt.Fprintf(f, "%d,%s,%t,%s,%s,%d\n",
-			d.Rank, d.Name, d.CloudUsing(), d.HomeRegion, d.CustomerCountry, len(d.CloudSubdomains()))
+		cw.add(d)
 	}
-	f.Close()
-
-	// Ground-truth subdomain inventory.
-	f, err = os.Create(filepath.Join(*outDir, "subdomains.csv"))
-	if err != nil {
+	if err := cw.close(); err != nil {
 		fatal(err)
 	}
-	fmt.Fprintln(f, "fqdn,pattern,provider,regions")
-	for _, d := range world.CloudDomains {
-		for _, s := range d.CloudSubdomains() {
-			fmt.Fprintf(f, "%s,%s,%s,%s\n", s.FQDN, s.Pattern, s.Provider, join(s.Regions))
-		}
-	}
-	f.Close()
 
 	// Sample zone files for the ten highest-ranked cloud domains.
 	zoneDir := filepath.Join(*outDir, "zones")
@@ -153,52 +143,74 @@ func streamWorld(outDir string, seed int64, domains, workers, chunkSize int) err
 		return err
 	}
 
-	df, err := os.Create(filepath.Join(outDir, "domains.csv"))
+	cw, err := createCSVs(outDir)
 	if err != nil {
 		return err
 	}
-	defer df.Close()
-	sf, err := os.Create(filepath.Join(outDir, "subdomains.csv"))
-	if err != nil {
-		return err
-	}
-	defer sf.Close()
-	fmt.Fprintln(df, "rank,domain,cloud_using,home_region,customer_country,cloud_subdomains")
-	fmt.Fprintln(sf, "fqdn,pattern,provider,regions")
 	total := 0
 	for {
 		chunk, err := ws.Next()
 		if err != nil {
+			cw.close()
 			return err
 		}
 		if chunk == nil {
 			break
 		}
 		for _, d := range chunk.Domains {
-			subs := d.CloudSubdomains()
-			fmt.Fprintf(df, "%d,%s,%t,%s,%s,%d\n",
-				d.Rank, d.Name, d.CloudUsing(), d.HomeRegion, d.CustomerCountry, len(subs))
-			for _, s := range subs {
-				fmt.Fprintf(sf, "%s,%s,%s,%s\n", s.FQDN, s.Pattern, s.Provider, join(s.Regions))
-			}
+			cw.add(d)
 		}
 		total += len(chunk.Domains)
 		ws.Release(chunk)
+	}
+	if err := cw.close(); err != nil {
+		return err
 	}
 	fmt.Printf("wrote %s: %d domains (%d cloud-using), streamed in chunks of %d (capture and zone samples need the whole world; rerun without -stream for those)\n",
 		outDir, total, ws.NumCloudDomains(), chunkSize)
 	return nil
 }
 
-func join(ss []string) string {
-	out := ""
-	for i, s := range ss {
-		if i > 0 {
-			out += ";"
-		}
-		out += s
+// csvWriter writes domains.csv (every ranked domain) and
+// subdomains.csv (each domain's cloud-using subdomains), one domain at
+// a time in rank order. The in-memory and -stream paths both write
+// through it, so their CSVs are the same bytes.
+type csvWriter struct {
+	df, sf        *os.File
+	domains, subs *bufio.Writer
+}
+
+// createCSVs creates both CSVs under outDir and writes their headers.
+func createCSVs(outDir string) (*csvWriter, error) {
+	df, err := os.Create(filepath.Join(outDir, "domains.csv"))
+	if err != nil {
+		return nil, err
 	}
-	return out
+	sf, err := os.Create(filepath.Join(outDir, "subdomains.csv"))
+	if err != nil {
+		df.Close()
+		return nil, err
+	}
+	w := &csvWriter{df: df, sf: sf, domains: bufio.NewWriter(df), subs: bufio.NewWriter(sf)}
+	fmt.Fprintln(w.domains, "rank,domain,cloud_using,home_region,customer_country,cloud_subdomains")
+	fmt.Fprintln(w.subs, "fqdn,pattern,provider,regions")
+	return w, nil
+}
+
+// add writes d's domains.csv row and its subdomains.csv rows.
+func (w *csvWriter) add(d *deploy.Domain) {
+	subs := d.CloudSubdomains()
+	fmt.Fprintf(w.domains, "%d,%s,%t,%s,%s,%d\n",
+		d.Rank, d.Name, d.CloudUsing(), d.HomeRegion, d.CustomerCountry, len(subs))
+	for _, s := range subs {
+		fmt.Fprintf(w.subs, "%s,%s,%s,%s\n", s.FQDN, s.Pattern, s.Provider, strings.Join(s.Regions, ";"))
+	}
+}
+
+// close flushes and closes both files. A bufio.Writer keeps a failed
+// write's error, so Flush reports any write error here.
+func (w *csvWriter) close() error {
+	return errors.Join(w.domains.Flush(), w.df.Close(), w.subs.Flush(), w.sf.Close())
 }
 
 func fatal(err error) {

@@ -464,7 +464,7 @@ func runExtDurations(s *Study) string {
 func runExtOutage(s *Study) string {
 	var b strings.Builder
 	reg := s.Regions()
-	listShare, cloudShare := reg.HeadlineImpact("ec2.us-east-1", s.Cfg.Domains, len(s.World().CloudDomains))
+	listShare, cloudShare := reg.HeadlineImpact("ec2.us-east-1", s.Cfg.Domains, len(s.Dataset().CloudDomains()))
 	fmt.Fprintf(&b, "Extension: outage blast radius\n")
 	fmt.Fprintf(&b, "us-east-1 outage: %.1f%% of the ranked list, %.1f%% of cloud-using domains lose critical components\n",
 		100*listShare, 100*cloudShare)

@@ -218,12 +218,6 @@ func resolverPool(cfg Config, n int) []*dnssrv.Resolver {
 // panics or cfg.Par.Ctx is cancelled.
 func Build(cfg Config) (*Dataset, error) {
 	cfg.normalize()
-	ds := &Dataset{
-		Ranges:     cfg.Ranges,
-		Domains:    map[string]*DomainSummary{},
-		Subdomains: map[string]*Observation{},
-		ByDomain:   map[string][]*Observation{},
-	}
 	campaignStart := cfg.Fabric.Clock().Now()
 
 	brute, vantages := resolverPool(cfg, bruteNodes), resolverPool(cfg, cfg.Vantages)
@@ -232,16 +226,34 @@ func Build(cfg Config) (*Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, r := range results {
-		ds.Stats.add(r)
-		ds.Domains[r.summary.Domain] = r.summary
-		for _, o := range r.obs {
-			ds.Subdomains[o.FQDN] = o
-			ds.ByDomain[o.Domain] = append(ds.ByDomain[o.Domain], o)
-		}
-	}
+	ds := newDataset(cfg.Ranges)
+	ds.fold(results)
 	ds.Stats.SerialProbeTime = cfg.Fabric.Clock().Now().Sub(campaignStart)
 	return ds, nil
+}
+
+// newDataset returns an empty dataset over the published ranges.
+func newDataset(ranges *ipranges.List) *Dataset {
+	return &Dataset{
+		Ranges:     ranges,
+		Domains:    map[string]*DomainSummary{},
+		Subdomains: map[string]*Observation{},
+		ByDomain:   map[string][]*Observation{},
+	}
+}
+
+// fold adds scanned domains to the dataset and its Stats. Build folds
+// the whole list once; StreamBuilder folds each chunk into its own
+// partial dataset.
+func (d *Dataset) fold(results []domainResult) {
+	for _, r := range results {
+		d.Stats.add(r)
+		d.Domains[r.summary.Domain] = r.summary
+		for _, o := range r.obs {
+			d.Subdomains[o.FQDN] = o
+			d.ByDomain[o.Domain] = append(d.ByDomain[o.Domain], o)
+		}
+	}
 }
 
 // domainResult is one domain's scan: its summary, its cloud-using

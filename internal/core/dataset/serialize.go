@@ -32,8 +32,7 @@ func renderHeader(st Stats) string {
 		st.DomainsScanned, st.CloudSubdomains)
 }
 
-// renderDomainLine renders one D record. Shared by WriteTo and the
-// spill path, so the streamed file is byte-identical by construction.
+// renderDomainLine renders one D record.
 func renderDomainLine(s *DomainSummary) string {
 	axfr := 0
 	if s.AXFRWorked {
@@ -103,12 +102,7 @@ func (d *Dataset) WriteTo(w io.Writer) (int64, error) {
 // Read parses a dataset written by WriteTo. ranges re-attaches the
 // published list (it is not part of the file).
 func Read(r io.Reader, ranges *ipranges.List) (*Dataset, error) {
-	ds := &Dataset{
-		Ranges:     ranges,
-		Domains:    map[string]*DomainSummary{},
-		Subdomains: map[string]*Observation{},
-		ByDomain:   map[string][]*Observation{},
-	}
+	ds := newDataset(ranges)
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<22)
 	var cur *Observation
@@ -130,6 +124,9 @@ func Read(r io.Reader, ranges *ipranges.List) (*Dataset, error) {
 			cu, err2 := strconv.Atoi(fields[4])
 			if err1 != nil || err2 != nil {
 				return nil, fmt.Errorf("dataset: line %d: bad D counts", lineNo)
+			}
+			if ds.Domains[fields[1]] != nil {
+				return nil, fmt.Errorf("dataset: line %d: duplicate domain %s", lineNo, fields[1])
 			}
 			ds.Domains[fields[1]] = &DomainSummary{Domain: fields[1], AXFRWorked: axfr, SubdomainsSeen: seen, CloudUsing: cu}
 			ds.Stats.DomainsScanned++
@@ -171,6 +168,9 @@ func Read(r io.Reader, ranges *ipranges.List) (*Dataset, error) {
 		case "E":
 			if cur == nil {
 				return nil, fmt.Errorf("dataset: line %d: E before S", lineNo)
+			}
+			if ds.Subdomains[cur.FQDN] != nil {
+				return nil, fmt.Errorf("dataset: line %d: duplicate subdomain %s", lineNo, cur.FQDN)
 			}
 			ds.Subdomains[cur.FQDN] = cur
 			ds.ByDomain[cur.Domain] = append(ds.ByDomain[cur.Domain], cur)

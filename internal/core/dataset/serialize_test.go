@@ -65,6 +65,8 @@ func TestReadErrors(t *testing.T) {
 		"unterminated": "S x.com com\nR x.com A 60 1.2.3.4\n",
 		"unknown tag":  "Z whatever\n",
 		"E before S":   "E\n",
+		"duplicate D":  "D x.com 0 1 0\nD x.com 0 1 0\n",
+		"duplicate S":  "S a.x.com x.com\nE\nS a.x.com x.com\nE\n",
 	}
 	for name, in := range cases {
 		if _, err := Read(strings.NewReader(in), world.Ranges); err == nil {

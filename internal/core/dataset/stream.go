@@ -2,15 +2,15 @@ package dataset
 
 import (
 	"bufio"
+	"bytes"
 	"container/heap"
+	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"time"
 
-	"cloudscope/internal/core/dataset/diskfmt"
 	"cloudscope/internal/dnssrv"
 )
 
@@ -28,12 +28,13 @@ type StreamConfig struct {
 }
 
 // StreamBuilder runs the discovery pipeline incrementally: each
-// AddChunk scans one rank-contiguous window of the list and spills the
-// rendered partial dataset to disk in diskfmt, and Finish k-way merges
-// the sorted spill files into the text format. Peak memory is one
-// chunk's scan plus the merge readers — never the whole dataset — and
-// the output is byte-identical to Build + WriteTo at every worker
-// count and chunk size (the per-stage sha256 goldens hold it there).
+// AddChunk scans one rank-contiguous window of the list and spills it
+// to disk as a partial dataset in the text format (WriteTo's own
+// output), and Finish k-way merges the sorted spill files record by
+// record. Peak memory is one chunk's scan plus the merge readers —
+// never the whole dataset — and the output is byte-identical to Build
+// + WriteTo at every worker count and chunk size (the per-stage sha256
+// goldens hold it there).
 type StreamBuilder struct {
 	cfg      StreamConfig
 	brute    []*dnssrv.Resolver
@@ -98,49 +99,25 @@ func (b *StreamBuilder) AddChunk(names []string) error {
 		return err
 	}
 	b.next += len(names)
-
-	recs := make([]diskfmt.Record, 0, 2*len(results))
 	for _, r := range results {
 		b.stats.add(r)
-		recs = append(recs, diskfmt.Record{Tag: diskfmt.TagDomain, Key: r.summary.Domain, Payload: []byte(renderDomainLine(r.summary))})
-		for _, o := range r.obs {
-			recs = append(recs, diskfmt.Record{Tag: diskfmt.TagSub, Key: o.FQDN, Payload: []byte(renderObservation(o))})
-		}
 	}
-	sort.Slice(recs, func(i, j int) bool { return recs[i].Less(recs[j]) })
+	part := newDataset(b.cfg.Ranges)
+	part.fold(results)
 
-	path := filepath.Join(b.dir, fmt.Sprintf("chunk-%06d.csd", len(b.files)))
-	if err := writeSpill(path, recs); err != nil {
-		b.Close()
-		return err
-	}
-	b.files = append(b.files, path)
-	return nil
-}
-
-func writeSpill(path string, recs []diskfmt.Record) error {
+	path := filepath.Join(b.dir, fmt.Sprintf("chunk-%06d.txt", len(b.files)))
 	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("dataset: creating spill file: %w", err)
-	}
-	w, err := diskfmt.NewWriter(f)
 	if err == nil {
-		for _, r := range recs {
-			if err = w.Write(r); err != nil {
-				break
-			}
+		_, err = part.WriteTo(f)
+		if cerr := f.Close(); err == nil {
+			err = cerr
 		}
 	}
-	if err == nil {
-		err = w.Flush()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
 	if err != nil {
-		os.Remove(path)
+		b.Close()
 		return fmt.Errorf("dataset: writing spill file: %w", err)
 	}
+	b.files = append(b.files, path)
 	return nil
 }
 
@@ -151,50 +128,45 @@ func (b *StreamBuilder) Finish(w io.Writer) (Stats, error) {
 	defer b.Close()
 	b.stats.SerialProbeTime = b.cfg.Fabric.Clock().Now().Sub(b.start)
 
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(renderHeader(b.stats)); err != nil {
-		return b.stats, err
-	}
 	var mh mergeHeap
+	defer func() {
+		for _, src := range mh {
+			src.f.Close()
+		}
+	}()
 	for _, path := range b.files {
 		f, err := os.Open(path)
 		if err != nil {
-			closeSources(mh)
 			return b.stats, fmt.Errorf("dataset: reopening spill file: %w", err)
 		}
-		rd, err := diskfmt.NewReader(f)
-		if err != nil {
-			f.Close()
-			closeSources(mh)
-			return b.stats, err
-		}
-		src := &mergeSource{f: f, rd: rd}
+		src := &spillReader{f: f, br: bufio.NewReader(f)}
 		ok, err := src.advance()
-		if err != nil {
-			f.Close()
-			closeSources(mh)
-			return b.stats, err
-		}
 		if ok {
 			mh = append(mh, src)
 		} else {
 			f.Close()
 		}
+		if err != nil {
+			return b.stats, err
+		}
 	}
 	heap.Init(&mh)
+
+	bw := bufio.NewWriter(w)
+	if _, err := bw.WriteString(renderHeader(b.stats)); err != nil {
+		return b.stats, err
+	}
 	// Every key is globally unique (domains are unique; FQDNs embed
 	// their domain), so the heap order is total and the merge is a
 	// single pass of byte concatenation.
 	for mh.Len() > 0 {
 		src := mh[0]
-		if _, err := bw.Write(src.cur.Payload); err != nil {
-			closeSources(mh)
+		if _, err := bw.Write(src.cur); err != nil {
 			return b.stats, err
 		}
 		ok, err := src.advance()
 		switch {
 		case err != nil:
-			closeSources(mh)
 			return b.stats, err
 		case ok:
 			heap.Fix(&mh, 0)
@@ -218,39 +190,75 @@ func (b *StreamBuilder) Close() error {
 	return err
 }
 
-// mergeSource is one spill file being merged.
-type mergeSource struct {
+// spillReader yields one spill file's records in file order: a D line,
+// or an S line through its block's E line, with their newlines.
+// Compared whole with bytes.Compare, records sort in the text format's
+// (tag, key) order: 'D' < 'S', and the space after a key sorts below
+// every byte of a DNS name, so a key sorts before its extensions.
+type spillReader struct {
 	f   *os.File
-	rd  *diskfmt.Reader
-	cur diskfmt.Record
+	br  *bufio.Reader
+	cur []byte
 }
 
-// advance loads the source's next record; ok=false on clean EOF.
-func (s *mergeSource) advance() (ok bool, err error) {
-	rec, err := s.rd.Next()
-	if err == io.EOF {
-		return false, nil
+// advance loads the next record into cur, skipping '#' lines. It
+// returns ok=false at a clean end of file, and an error for a file
+// that ends inside a line or an S block or holds a line WriteTo never
+// writes.
+func (s *spillReader) advance() (ok bool, err error) {
+	s.cur = s.cur[:0]
+	for {
+		inBlock := len(s.cur) > 0
+		line, err := s.readLine()
+		switch {
+		case err == io.EOF && !inBlock:
+			return false, nil
+		case err == io.EOF:
+			return false, errors.New("dataset: spill file ends inside an S block")
+		case err != nil:
+			return false, fmt.Errorf("dataset: reading spill file: %w", err)
+		case inBlock && string(line) == "E\n":
+			return true, nil
+		case inBlock && line[0] == 'R':
+		case inBlock:
+			return false, fmt.Errorf("dataset: spill file: %q inside an S block", line)
+		case line[0] == '#':
+			s.cur = s.cur[:0]
+		case line[0] == 'D':
+			return true, nil
+		case line[0] != 'S':
+			return false, fmt.Errorf("dataset: spill file: unexpected line %q", line)
+		}
 	}
-	if err != nil {
-		return false, err
-	}
-	s.cur = rec
-	return true, nil
 }
 
-func closeSources(srcs []*mergeSource) {
-	for _, s := range srcs {
-		s.f.Close()
+// readLine appends the next whole line, newline included, to cur and
+// returns it. It returns io.EOF only at a line boundary; a file that
+// ends mid-line is an io.ErrUnexpectedEOF.
+func (s *spillReader) readLine() ([]byte, error) {
+	start := len(s.cur)
+	for {
+		frag, err := s.br.ReadSlice('\n')
+		s.cur = append(s.cur, frag...)
+		switch {
+		case err == bufio.ErrBufferFull:
+			continue
+		case err == io.EOF && len(s.cur) > start:
+			return nil, io.ErrUnexpectedEOF
+		case err != nil:
+			return nil, err
+		}
+		return s.cur[start:], nil
 	}
 }
 
 // mergeHeap is a min-heap of spill sources by current record order.
-type mergeHeap []*mergeSource
+type mergeHeap []*spillReader
 
 func (h mergeHeap) Len() int           { return len(h) }
-func (h mergeHeap) Less(i, j int) bool { return h[i].cur.Less(h[j].cur) }
+func (h mergeHeap) Less(i, j int) bool { return bytes.Compare(h[i].cur, h[j].cur) < 0 }
 func (h mergeHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *mergeHeap) Push(x any)        { *h = append(*h, x.(*mergeSource)) }
+func (h *mergeHeap) Push(x any)        { *h = append(*h, x.(*spillReader)) }
 func (h *mergeHeap) Pop() any {
 	old := *h
 	n := len(old)

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -135,6 +137,36 @@ func TestSpillCleanup(t *testing.T) {
 		}
 		if got := entries(t, parent); len(got) != 0 {
 			t.Fatalf("spill dir survives worker panic: %v", got)
+		}
+	})
+
+	t.Run("corrupt-spill", func(t *testing.T) {
+		// Cut a spill file just after an S line: a line boundary inside
+		// a block, so only the merge's block check can see the damage.
+		parent := t.TempDir()
+		b := newTestStreamBuilder(t, parent, 60, nil, false)
+		if err := b.AddChunk(firstNames(60)); err != nil {
+			t.Fatal(err)
+		}
+		dir := filepath.Join(parent, entries(t, parent)[0])
+		path := filepath.Join(dir, entries(t, dir)[0])
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		i := bytes.LastIndex(data, []byte("\nS "))
+		if i < 0 {
+			t.Fatal("spill file holds no S block")
+		}
+		cut := i + 1 + bytes.IndexByte(data[i+1:], '\n') + 1
+		if err := os.WriteFile(path, data[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := b.Finish(io.Discard); err == nil {
+			t.Fatal("Finish merged a spill file truncated inside an S block")
+		}
+		if got := entries(t, parent); len(got) != 0 {
+			t.Fatalf("spill dir survives a failed Finish: %v", got)
 		}
 	})
 

@@ -4,9 +4,7 @@ import "testing"
 
 func benchFrame() []byte {
 	tcp := &TCP{SrcPort: 43210, DstPort: 443, Seq: 1000, Ack: 2000, Flags: FlagACK | FlagPSH}
-	seg := tcp.Serialize(src, dst, []byte("GET /index.html HTTP/1.1\r\nHost: www.example.com\r\n\r\n"))
-	ip := &IPv4{Protocol: ProtoTCP, Src: src, Dst: dst}
-	return (&Ethernet{EtherType: EtherTypeIPv4}).Serialize(ip.Serialize(seg))
+	return tcpFrame(&Ethernet{EtherType: EtherTypeIPv4}, &IPv4{Src: src, Dst: dst}, tcp, []byte("GET /index.html HTTP/1.1\r\nHost: www.example.com\r\n\r\n"))
 }
 
 func BenchmarkDecode(b *testing.B) {
@@ -20,14 +18,15 @@ func BenchmarkDecode(b *testing.B) {
 	}
 }
 
-func BenchmarkSerializeTCP(b *testing.B) {
+func BenchmarkPutTCPFrame(b *testing.B) {
 	payload := []byte("GET / HTTP/1.1\r\nHost: x\r\n\r\n")
+	frame := make([]byte, TCPFrameLen(len(payload)))
+	b.SetBytes(int64(len(frame)))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		tcp := &TCP{SrcPort: 1, DstPort: 80, Seq: uint32(i)}
-		seg := tcp.Serialize(src, dst, payload)
-		ip := &IPv4{Protocol: ProtoTCP, Src: src, Dst: dst}
-		frame := (&Ethernet{EtherType: EtherTypeIPv4}).Serialize(ip.Serialize(seg))
-		b.SetBytes(int64(len(frame)))
+		clear(frame)
+		tcp := TCP{SrcPort: 1, DstPort: 80, Seq: uint32(i)}
+		ip := IPv4{Src: src, Dst: dst}
+		PutTCPFrame(frame, &Ethernet{EtherType: EtherTypeIPv4}, &ip, &tcp, payload)
 	}
 }

@@ -4,13 +4,19 @@ import (
 	"encoding/binary"
 )
 
-// This file is the in-place frame serialization path: the zero-copy
-// write half of the capture hot loop. Each Put*Frame builds a complete
+// This file is the package's only encoder, the zero-copy write half of
+// the capture hot loop. Each Put*Frame builds a complete
 // Ethernet/IPv4/transport frame directly into a caller-provided buffer
-// (typically a pcapio.Block's reserved record slice), with the same
-// defaulting and checksum semantics as the per-layer Serialize methods
-// but no intermediate allocations. dst must be zeroed (block
-// reservations are) and exactly *FrameLen(len(payload)) bytes long.
+// (typically a pcapio.Block's reserved record slice) with no
+// intermediate allocations. dst must be zeroed (block reservations are)
+// and exactly *FrameLen(len(payload)) bytes long.
+//
+// The encoders write back what they default or compute: a zero TTL
+// becomes 64 and a zero TCP Window 65535; IPv4 TotalLength is raised to
+// the real datagram length but a larger pre-set value is kept (a
+// snap-truncated frame describing the original datagram); the UDP
+// Length and every checksum — IPv4 header, ICMP, and TCP/UDP over the
+// IPv4 pseudo-header — are computed over the bytes written.
 
 // TCPFrameLen returns the byte length of an Ethernet+IPv4+TCP frame
 // carrying payloadLen application bytes.
@@ -30,10 +36,8 @@ func putEthernet(dst []byte, e *Ethernet) {
 }
 
 // putIPv4 writes the network header into dst[0:20] over a payload of
-// payloadLen bytes already in place after it, with Serialize's
-// semantics: TotalLength keeps a larger pre-set value (snap-truncated
-// frames describing the original datagram), TTL defaults to 64, and
-// the header checksum is computed in place.
+// payloadLen bytes already in place after it, computing the header
+// checksum in place.
 func putIPv4(dst []byte, ip *IPv4, payloadLen int) {
 	want := uint16(ipv4Len + payloadLen)
 	if ip.TotalLength < want {
@@ -57,8 +61,7 @@ func putIPv4(dst []byte, ip *IPv4, payloadLen int) {
 // PutTCPFrame serializes a full TCP frame into dst, which must be
 // exactly TCPFrameLen(len(payload)) zeroed bytes. The segment checksum
 // uses the pseudo-header from ip.Src/ip.Dst; ip.Protocol is forced to
-// TCP. Like the Serialize chain, it sets defaulted fields (TTL,
-// Window) and computed fields (lengths, checksums) on ip and t.
+// TCP. Defaulted and computed fields are written back to ip and t.
 func PutTCPFrame(dst []byte, eth *Ethernet, ip *IPv4, t *TCP, payload []byte) {
 	ip.Protocol = ProtoTCP
 	seg := dst[ethernetLen+ipv4Len:]

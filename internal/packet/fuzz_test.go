@@ -10,12 +10,10 @@ import (
 
 // fuzzFrame builds one well-formed TCP frame to seed the corpus.
 func fuzzFrame(payload []byte) []byte {
-	buf := make([]byte, TCPFrameLen(len(payload)))
-	eth := Ethernet{Src: MAC{0, 1, 2, 3, 4, 5}, Dst: MAC{6, 7, 8, 9, 10, 11}, EtherType: EtherTypeIPv4}
-	ip := IPv4{Src: netaddr.IP(0x0a000001), Dst: netaddr.IP(0x36ed1401)}
-	tcp := TCP{SrcPort: 49152, DstPort: 80, Seq: 7, Ack: 9, Flags: FlagACK | FlagPSH}
-	PutTCPFrame(buf, &eth, &ip, &tcp, payload)
-	return buf
+	eth := &Ethernet{Src: MAC{0, 1, 2, 3, 4, 5}, Dst: MAC{6, 7, 8, 9, 10, 11}, EtherType: EtherTypeIPv4}
+	ip := &IPv4{Src: netaddr.IP(0x0a000001), Dst: netaddr.IP(0x36ed1401)}
+	tcp := &TCP{SrcPort: 49152, DstPort: 80, Seq: 7, Ack: 9, Flags: FlagACK | FlagPSH}
+	return tcpFrame(eth, ip, tcp, payload)
 }
 
 // FuzzDecodePacket throws arbitrary bytes at the header decoder. The

@@ -1,13 +1,13 @@
 // Package packet implements the packet layers the border-capture
 // pipeline produces and parses: Ethernet, IPv4, TCP, UDP, and ICMP,
-// with correct lengths and checksums on serialization and strict
-// validation on decode.
+// with correct lengths and checksums on serialization (frame.go) and
+// strict validation on decode.
 //
 // The design follows gopacket's layering model in miniature: each layer
-// type knows how to decode itself from bytes and serialize itself given
-// a payload, and Decode walks the stack producing a Packet whose layers
-// can be inspected. Five-tuple Flow values are comparable and usable as
-// map keys, like gopacket's Flow/Endpoint.
+// type knows how to decode itself from bytes, and Decode walks the
+// stack producing a Packet whose layers can be inspected. Five-tuple
+// Flow values are comparable and usable as map keys, like gopacket's
+// Flow/Endpoint.
 package packet
 
 import (
@@ -79,16 +79,6 @@ func (e *Ethernet) Decode(data []byte) (payload []byte, err error) {
 	return data[ethernetLen:], nil
 }
 
-// Serialize prepends the header to payload.
-func (e *Ethernet) Serialize(payload []byte) []byte {
-	out := make([]byte, ethernetLen+len(payload))
-	copy(out[0:6], e.Dst[:])
-	copy(out[6:12], e.Src[:])
-	binary.BigEndian.PutUint16(out[12:14], e.EtherType)
-	copy(out[ethernetLen:], payload)
-	return out
-}
-
 // IPv4 is the network layer (no options support; IHL is fixed at 5).
 type IPv4 struct {
 	TOS         uint8
@@ -138,34 +128,6 @@ func (ip *IPv4) Decode(data []byte) (payload []byte, err error) {
 	return data[ihl:end], nil
 }
 
-// Serialize prepends the header (fixing TotalLength and Checksum) to
-// payload. ip.TotalLength is set as a side effect; if it was pre-set to
-// a larger value than 20+len(payload), that value is kept, which lets
-// trace generators emit snap-truncated packets whose headers describe
-// the original datagram size.
-func (ip *IPv4) Serialize(payload []byte) []byte {
-	want := uint16(ipv4Len + len(payload))
-	if ip.TotalLength < want {
-		ip.TotalLength = want
-	}
-	out := make([]byte, ipv4Len+len(payload))
-	out[0] = 4<<4 | 5
-	out[1] = ip.TOS
-	binary.BigEndian.PutUint16(out[2:4], ip.TotalLength)
-	binary.BigEndian.PutUint16(out[4:6], ip.ID)
-	if ip.TTL == 0 {
-		ip.TTL = 64
-	}
-	out[8] = ip.TTL
-	out[9] = ip.Protocol
-	binary.BigEndian.PutUint32(out[12:16], uint32(ip.Src))
-	binary.BigEndian.PutUint32(out[16:20], uint32(ip.Dst))
-	ip.Checksum = checksum16(out[:ipv4Len], 0)
-	binary.BigEndian.PutUint16(out[10:12], ip.Checksum)
-	copy(out[ipv4Len:], payload)
-	return out
-}
-
 // TCP is the transport layer (no options; data offset fixed at 5).
 type TCP struct {
 	SrcPort, DstPort uint16
@@ -201,25 +163,6 @@ func (t *TCP) Decode(data []byte) (payload []byte, err error) {
 	return data[off:], nil
 }
 
-// Serialize prepends the header with a valid pseudo-header checksum.
-func (t *TCP) Serialize(src, dst netaddr.IP, payload []byte) []byte {
-	out := make([]byte, tcpLen+len(payload))
-	binary.BigEndian.PutUint16(out[0:2], t.SrcPort)
-	binary.BigEndian.PutUint16(out[2:4], t.DstPort)
-	binary.BigEndian.PutUint32(out[4:8], t.Seq)
-	binary.BigEndian.PutUint32(out[8:12], t.Ack)
-	out[12] = 5 << 4
-	out[13] = t.Flags
-	if t.Window == 0 {
-		t.Window = 65535
-	}
-	binary.BigEndian.PutUint16(out[14:16], t.Window)
-	copy(out[tcpLen:], payload)
-	t.Checksum = transportChecksum(src, dst, ProtoTCP, out)
-	binary.BigEndian.PutUint16(out[16:18], t.Checksum)
-	return out
-}
-
 // UDP is the transport layer for datagrams.
 type UDP struct {
 	SrcPort, DstPort uint16
@@ -241,19 +184,6 @@ func (u *UDP) Decode(data []byte) (payload []byte, err error) {
 	return data[udpLen:], nil
 }
 
-// Serialize prepends the header with a valid checksum.
-func (u *UDP) Serialize(src, dst netaddr.IP, payload []byte) []byte {
-	out := make([]byte, udpLen+len(payload))
-	u.Length = uint16(len(out))
-	binary.BigEndian.PutUint16(out[0:2], u.SrcPort)
-	binary.BigEndian.PutUint16(out[2:4], u.DstPort)
-	binary.BigEndian.PutUint16(out[4:6], u.Length)
-	copy(out[udpLen:], payload)
-	u.Checksum = transportChecksum(src, dst, ProtoUDP, out)
-	binary.BigEndian.PutUint16(out[6:8], u.Checksum)
-	return out
-}
-
 // ICMP covers echo request/reply.
 type ICMP struct {
 	Type, Code uint8
@@ -271,17 +201,6 @@ func (ic *ICMP) Decode(data []byte) (payload []byte, err error) {
 	ic.Code = data[1]
 	ic.Checksum = binary.BigEndian.Uint16(data[2:4])
 	return data[icmpLen:], nil
-}
-
-// Serialize prepends the header with a valid checksum.
-func (ic *ICMP) Serialize(payload []byte) []byte {
-	out := make([]byte, icmpLen+len(payload))
-	out[0] = ic.Type
-	out[1] = ic.Code
-	copy(out[icmpLen:], payload)
-	ic.Checksum = checksum16(out, 0)
-	binary.BigEndian.PutUint16(out[2:4], ic.Checksum)
-	return out
 }
 
 // checksum16 is the Internet checksum over data with an initial sum.

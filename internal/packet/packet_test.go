@@ -13,14 +13,25 @@ var (
 	dst = netaddr.MustParseIP("54.230.0.1")
 )
 
+// Test frames come from the capture's own encoder (PutTCPFrame and
+// friends), so every round trip below covers the bytes that ship.
+
+// tcpFrame encodes one Ethernet/IPv4/TCP frame.
+func tcpFrame(eth *Ethernet, ip *IPv4, tcp *TCP, payload []byte) []byte {
+	frame := make([]byte, TCPFrameLen(len(payload)))
+	PutTCPFrame(frame, eth, ip, tcp, payload)
+	return frame
+}
+
+// segment returns a TCP frame's transport segment.
+func segment(frame []byte) []byte { return frame[ethernetLen+ipv4Len:] }
+
 func buildTCP(t *testing.T, payload []byte) []byte {
 	t.Helper()
 	tcp := &TCP{SrcPort: 43210, DstPort: 443, Seq: 1000, Ack: 2000, Flags: FlagACK | FlagPSH}
-	seg := tcp.Serialize(src, dst, payload)
-	ip := &IPv4{Protocol: ProtoTCP, Src: src, Dst: dst, ID: 7}
-	dgram := ip.Serialize(seg)
+	ip := &IPv4{Src: src, Dst: dst, ID: 7}
 	eth := &Ethernet{Dst: MAC{1, 2, 3, 4, 5, 6}, Src: MAC{7, 8, 9, 10, 11, 12}, EtherType: EtherTypeIPv4}
-	return eth.Serialize(dgram)
+	return tcpFrame(eth, ip, tcp, payload)
 }
 
 func TestTCPRoundTrip(t *testing.T) {
@@ -47,7 +58,7 @@ func TestTCPRoundTrip(t *testing.T) {
 func TestTCPChecksumValid(t *testing.T) {
 	payload := []byte("hello world")
 	tcp := &TCP{SrcPort: 1, DstPort: 2, Seq: 3}
-	seg := tcp.Serialize(src, dst, payload)
+	seg := segment(tcpFrame(&Ethernet{EtherType: EtherTypeIPv4}, &IPv4{Src: src, Dst: dst}, tcp, payload))
 	if !VerifyTCPChecksum(src, dst, seg) {
 		t.Fatal("serialized segment fails checksum")
 	}
@@ -69,10 +80,8 @@ func TestIPv4ChecksumVerified(t *testing.T) {
 func TestUDPRoundTrip(t *testing.T) {
 	payload := []byte{0xde, 0xad, 0xbe, 0xef}
 	udp := &UDP{SrcPort: 5353, DstPort: 53}
-	dg := udp.Serialize(src, dst, payload)
-	ip := &IPv4{Protocol: ProtoUDP, Src: src, Dst: dst}
-	eth := &Ethernet{EtherType: EtherTypeIPv4}
-	frame := eth.Serialize(ip.Serialize(dg))
+	frame := make([]byte, UDPFrameLen(len(payload)))
+	PutUDPFrame(frame, &Ethernet{EtherType: EtherTypeIPv4}, &IPv4{Src: src, Dst: dst}, udp, payload)
 	p, err := Decode(frame)
 	if err != nil {
 		t.Fatal(err)
@@ -87,9 +96,8 @@ func TestUDPRoundTrip(t *testing.T) {
 
 func TestICMPRoundTrip(t *testing.T) {
 	ic := &ICMP{Type: 8, Code: 0}
-	ip := &IPv4{Protocol: ProtoICMP, Src: src, Dst: dst}
-	eth := &Ethernet{EtherType: EtherTypeIPv4}
-	frame := eth.Serialize(ip.Serialize(ic.Serialize([]byte("ping"))))
+	frame := make([]byte, ICMPFrameLen(len("ping")))
+	PutICMPFrame(frame, &Ethernet{EtherType: EtherTypeIPv4}, &IPv4{Src: src, Dst: dst}, ic, []byte("ping"))
 	p, err := Decode(frame)
 	if err != nil {
 		t.Fatal(err)
@@ -103,9 +111,8 @@ func TestSnapTruncatedTotalLength(t *testing.T) {
 	// A generator can pre-set TotalLength larger than the captured
 	// payload — decode must still work, clipping to what exists.
 	tcp := &TCP{SrcPort: 1, DstPort: 80, Seq: 9}
-	seg := tcp.Serialize(src, dst, nil)
-	ip := &IPv4{Protocol: ProtoTCP, Src: src, Dst: dst, TotalLength: 1500}
-	frame := (&Ethernet{EtherType: EtherTypeIPv4}).Serialize(ip.Serialize(seg))
+	ip := &IPv4{Src: src, Dst: dst, TotalLength: 1500}
+	frame := tcpFrame(&Ethernet{EtherType: EtherTypeIPv4}, ip, tcp, nil)
 	p, err := Decode(frame)
 	if err != nil {
 		t.Fatal(err)
@@ -168,12 +175,10 @@ func TestPayloadRoundTripProperty(t *testing.T) {
 			payload = payload[:1400]
 		}
 		tcp := &TCP{SrcPort: sp, DstPort: dp, Seq: seq, Flags: FlagACK}
-		seg := tcp.Serialize(src, dst, payload)
-		if !VerifyTCPChecksum(src, dst, seg) {
+		frame := tcpFrame(&Ethernet{EtherType: EtherTypeIPv4}, &IPv4{Src: src, Dst: dst}, tcp, payload)
+		if !VerifyTCPChecksum(src, dst, segment(frame)) {
 			return false
 		}
-		ip := &IPv4{Protocol: ProtoTCP, Src: src, Dst: dst}
-		frame := (&Ethernet{EtherType: EtherTypeIPv4}).Serialize(ip.Serialize(seg))
 		p, err := Decode(frame)
 		if err != nil {
 			return false

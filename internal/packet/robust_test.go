@@ -22,9 +22,7 @@ func TestDecodeNeverPanicsOnRandomBytes(t *testing.T) {
 
 func TestDecodeNeverPanicsOnMutatedFrames(t *testing.T) {
 	tcp := &TCP{SrcPort: 40000, DstPort: 443, Seq: 1, Flags: FlagACK | FlagPSH}
-	seg := tcp.Serialize(src, dst, []byte("GET / HTTP/1.1\r\nHost: x.com\r\n\r\n"))
-	ip := &IPv4{Protocol: ProtoTCP, Src: src, Dst: dst}
-	base := (&Ethernet{EtherType: EtherTypeIPv4}).Serialize(ip.Serialize(seg))
+	base := tcpFrame(&Ethernet{EtherType: EtherTypeIPv4}, &IPv4{Src: src, Dst: dst}, tcp, []byte("GET / HTTP/1.1\r\nHost: x.com\r\n\r\n"))
 	f := func(pos uint16, val byte, cut uint16) bool {
 		data := append([]byte(nil), base...)
 		data[int(pos)%len(data)] = val
